@@ -12,12 +12,20 @@
 //     identical to a from-scratch recomputation.
 //  5. Semi-naive and naive bottom-up evaluation agree (including recursive
 //     programs).
+//  6. Every goal-directed query strategy agrees with bottom-up evaluation.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+
 #include "core/deductive_database.h"
+#include "datalog/unify.h"
 #include "eval/bottom_up.h"
+#include "eval/query_engine.h"
 #include "problems/view_maintenance.h"
+#include "util/strings.h"
 #include "workload/employment.h"
 #include "workload/random_programs.h"
 
@@ -250,6 +258,118 @@ TEST_P(EvaluatorAgreementTest, SemiNaiveMatchesNaive) {
     outputs.push_back(idb->ToString((*db)->symbols()));
   }
   EXPECT_EQ(outputs[0], outputs[1]);
+}
+
+// ---------------------------------------------------------------------------
+// 6: top-down, materialized and lazy query answering == bottom-up.
+
+class QueryEngineAgreementTest : public ::testing::TestWithParam<uint64_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, QueryEngineAgreementTest,
+                         ::testing::Range<uint64_t>(1, 13));
+
+TEST_P(QueryEngineAgreementTest, EveryStrategyMatchesBottomUp) {
+  RandomProgramConfig config;
+  config.seed = GetParam();
+  // Small extensions: a lazy stream repeats each solution once per
+  // derivation, so its length grows with the product of join fan-outs.
+  config.facts_per_base = 12;
+  config.constants = 12;
+  auto db = MakeRandomDatabase(config);
+  ASSERT_TRUE(db.ok()) << db.status();
+  const Program& program = (*db)->database().program();
+  const SymbolTable& symbols = (*db)->symbols();
+  FactStoreProvider edb(&(*db)->database().facts());
+  BottomUpEvaluator evaluator(program, symbols, edb);
+  auto idb = evaluator.Evaluate();
+  ASSERT_TRUE(idb.ok()) << idb.status();
+
+  std::map<SymbolId, std::vector<Tuple>> held;
+  for (const Rule& rule : program.rules()) held[rule.head().predicate()];
+  idb->ForEach([&](SymbolId pred, const Tuple& t) { held[pred].push_back(t); });
+  std::vector<SymbolId> constants;
+  for (size_t i = 0; i < config.constants; ++i) {
+    SymbolId c = symbols.Find(StrCat("C", i));
+    if (c != SymbolTable::kNoSymbol) constants.push_back(c);
+  }
+  ASSERT_FALSE(constants.empty());
+  const Term q0 = (*db)->Variable("q0");
+  const Term q1 = (*db)->Variable("q1");
+
+  // The strict strategies share one engine and the lazy ones another, so
+  // lazy answers never come from the strict solver's memo.
+  QueryEngine strict(program, symbols, edb);
+  QueryEngine lazy(program, symbols, edb);
+  for (auto& [pred, tuples] : held) {
+    std::sort(tuples.begin(), tuples.end());
+    const size_t arity = (*db)->database().predicates().Find(pred)->arity;
+
+    std::vector<Atom> goals;
+    const std::vector<Term> vars = {q0, q1};
+    const std::vector<Term> open(vars.begin(), vars.begin() + arity);
+    goals.emplace_back(pred, open);
+    std::vector<Term> first_bound = open;
+    first_bound[0] = Term::MakeConstant(
+        tuples.empty() ? constants[0] : tuples[tuples.size() / 2][0]);
+    goals.emplace_back(pred, first_bound);
+    first_bound[0] = Term::MakeConstant(constants[GetParam() % constants.size()]);
+    goals.emplace_back(pred, first_bound);
+    if (arity == 2) goals.emplace_back(pred, std::vector<Term>{q0, q0});
+    auto ground = [&](const Tuple& t) {
+      std::vector<Term> args;
+      for (SymbolId c : t) args.push_back(Term::MakeConstant(c));
+      return Atom(pred, args);
+    };
+    for (size_t i = 0; i < tuples.size() && i < 3; ++i) {
+      goals.push_back(ground(tuples[i * tuples.size() / 3]));
+    }
+    for (size_t i = 0, added = 0; i < constants.size() && added < 3; ++i) {
+      Tuple t(arity, constants[i]);
+      t.back() = constants[(i * 7 + 3) % constants.size()];
+      if (std::binary_search(tuples.begin(), tuples.end(), t)) continue;
+      goals.push_back(ground(t));
+      ++added;
+    }
+
+    for (const Atom& goal : goals) {
+      SCOPED_TRACE(goal.ToString(symbols));
+      std::vector<Tuple> expected;
+      for (const Tuple& t : tuples) {
+        Substitution subst;
+        if (MatchAtomAgainstTuple(goal, t, &subst)) expected.push_back(t);
+      }
+
+      auto top_down = strict.SolveTopDown(goal);
+      ASSERT_TRUE(top_down.ok()) << top_down.status();
+      std::sort(top_down->begin(), top_down->end());
+      EXPECT_EQ(*top_down, expected);
+      auto materialized = strict.SolveMaterialized(goal);
+      ASSERT_TRUE(materialized.ok()) << materialized.status();
+      EXPECT_EQ(*materialized, expected);
+
+      // The deduplicated stream: every solution is expected, and the stream
+      // is stopped as soon as it has produced all of them.
+      std::set<Tuple> streamed;
+      bool unexpected = false;
+      auto stopped = lazy.SolveLazyPattern(goal, [&](const Tuple& t) {
+        unexpected |= !std::binary_search(expected.begin(), expected.end(), t);
+        streamed.insert(t);
+        return streamed.size() < expected.size();
+      });
+      ASSERT_TRUE(stopped.ok()) << stopped.status();
+      EXPECT_FALSE(unexpected);
+      EXPECT_EQ(*stopped, !expected.empty());
+      EXPECT_EQ(std::vector<Tuple>(streamed.begin(), streamed.end()), expected);
+      auto exists = lazy.Exists(goal);
+      ASSERT_TRUE(exists.ok()) << exists.status();
+      EXPECT_EQ(*exists, !expected.empty());
+      if (goal.IsGround()) {
+        auto holds = lazy.Holds(goal);
+        ASSERT_TRUE(holds.ok()) << holds.status();
+        EXPECT_EQ(*holds, !expected.empty());
+      }
+    }
+  }
 }
 
 }  // namespace
