@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <optional>
-#include <unordered_set>
 
-#include "eval/body_eval.h"
+#include "eval/fact_provider.h"
+#include "eval/join_plan.h"
 
 namespace deddb {
 
@@ -19,33 +19,19 @@ int PopCount(Relation::Mask mask) {
   return count;
 }
 
-// Walks `order` over `rule`'s body tracking bound variables, recording the
-// bound-position mask of every positive literal probed with 2+ (but not all)
-// columns bound.
-void CollectMasks(const Rule& rule, const std::vector<size_t>& order,
+// Records the bound-column mask of every positive step of `plan` probed
+// with 2+ (but not all) columns bound.
+void CollectMasks(const Rule& rule, const JoinPlan& plan,
                   std::vector<IndexAdvice>* out) {
-  std::unordered_set<VarId> bound;
-  for (size_t idx : order) {
-    const Literal& lit = rule.body()[idx];
-    const Atom& atom = lit.atom();
-    if (lit.positive()) {
-      Relation::Mask mask = 0;
-      for (size_t j = 0;
-           j < atom.arity() && j < Relation::kMaxMaskColumns; ++j) {
-        const Term& t = atom.args()[j];
-        if (t.is_constant() || bound.count(t.variable()) > 0) {
-          mask |= Relation::Mask{1} << j;
-        }
-      }
-      size_t maskable = std::min(atom.arity(), Relation::kMaxMaskColumns);
-      bool full = atom.arity() <= Relation::kMaxMaskColumns &&
-                  static_cast<size_t>(PopCount(mask)) == maskable;
-      if (PopCount(mask) >= 2 && !full) {
-        out->push_back(IndexAdvice{atom.predicate(), mask});
-      }
-      for (const Term& t : atom.args()) {
-        if (t.is_variable()) bound.insert(t.variable());
-      }
+  for (const JoinPlan::StepInfo& step : plan.steps()) {
+    if (step.negative) continue;
+    size_t arity = rule.body()[step.literal].atom().arity();
+    size_t maskable = std::min(arity, Relation::kMaxMaskColumns);
+    int bound = PopCount(step.bound_mask);
+    bool full = arity <= Relation::kMaxMaskColumns &&
+                static_cast<size_t>(bound) == maskable;
+    if (bound >= 2 && !full) {
+      out->push_back(IndexAdvice{step.predicate, step.bound_mask});
     }
   }
 }
@@ -53,21 +39,28 @@ void CollectMasks(const Rule& rule, const std::vector<size_t>& order,
 }  // namespace
 
 std::vector<IndexAdvice> AdviseIndexes(const Program& program) {
+  // No statistics: every estimate ties, so the planner's structural
+  // tie-breaks (more bound arguments, fewer unbound variables, body order)
+  // decide, exactly as they do at runtime between equally sized relations.
+  const EmptyProvider no_stats;
+  auto provider_for = [&](size_t) -> const FactProvider& { return no_stats; };
   std::vector<IndexAdvice> advice;
   for (const Rule& rule : program.rules()) {
-    // Scenario 0: the unforced structural order (round-0 evaluation).
-    // Scenario i+1: positive literal i leads (its delta leads a semi-naive
-    // round). PlanBodyOrder fails only for unsafe rules, which validation
-    // rejects upstream; such scenarios are simply skipped.
+    // Scenario 0: the unforced order (round-0 evaluation). Scenario i+1:
+    // positive literal i leads (its delta leads a semi-naive round). Build
+    // fails only for unsafe rules, which validation rejects upstream; such
+    // scenarios are simply skipped.
     std::vector<std::optional<size_t>> scenarios;
     scenarios.push_back(std::nullopt);
     for (size_t i = 0; i < rule.body().size(); ++i) {
       if (rule.body()[i].positive()) scenarios.push_back(i);
     }
     for (const std::optional<size_t>& forced : scenarios) {
-      Result<std::vector<size_t>> order = PlanBodyOrder(rule, {}, forced);
-      if (!order.ok()) continue;
-      CollectMasks(rule, *order, &advice);
+      JoinPlan::Options options;
+      options.forced_first = forced;
+      Result<JoinPlan> plan = JoinPlan::Build(rule, provider_for, options);
+      if (!plan.ok()) continue;
+      CollectMasks(rule, *plan, &advice);
     }
   }
   std::sort(advice.begin(), advice.end(),

@@ -20,19 +20,19 @@ struct IndexAdvice {
   }
 };
 
-/// Static composite-index advice for `program`: simulates the structural
-/// join order of every rule — once unforced and once per positive body
-/// literal leading (semi-naive evaluation can lead with any recursive
-/// literal's delta) — and records, for each positive literal, the set of
-/// argument positions holding a constant or an already-bound variable when
-/// that literal is probed. Masks with at least two columns and not all
-/// columns become advice (single columns already have posting lists; full
-/// keys are set probes). Deduplicated, sorted by (predicate, mask) —
-/// deterministic for a given program.
+/// Static composite-index advice for `program`: builds each rule's JoinPlan
+/// — once unforced and once per positive body literal leading (semi-naive
+/// evaluation can lead with any recursive literal's delta) — and records,
+/// for each positive step, the bound-column mask the plan probes it with.
+/// Masks with at least two columns and not all columns become advice
+/// (single columns already have posting lists; full keys are set probes).
+/// Deduplicated, sorted by (predicate, mask) — deterministic for a given
+/// program.
 ///
-/// The runtime planner orders by live cardinality estimates, so it can
-/// deviate from the simulated orders; a miss only costs the composite
-/// fallback (single-column posting list or scan), never correctness.
+/// The plans are built without statistics, so the planner's structural
+/// tie-breaks order them; at runtime live cardinality estimates can pick a
+/// different order, and a miss only costs the composite fallback
+/// (single-column posting list or scan), never correctness.
 std::vector<IndexAdvice> AdviseIndexes(const Program& program);
 
 /// Declares every advised index on `store` (FactStore::DeclareIndex), so the

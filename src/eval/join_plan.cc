@@ -93,69 +93,64 @@ Result<JoinPlan> JoinPlan::Build(
 
   // ---- Ordering -----------------------------------------------------------
   std::vector<size_t>& order = plan.order_;
-  if (options.fixed_order.has_value()) {
-    order = *options.fixed_order;
-    assert(order.size() == body.size());
-  } else {
-    std::vector<bool> used(body.size(), false);
-    order.reserve(body.size());
-    if (options.forced_first.has_value()) {
-      assert(*options.forced_first < body.size());
-      size_t f = *options.forced_first;
-      order.push_back(f);
-      used[f] = true;
-      mark_bound(body[f].atom());
-    }
-    while (order.size() < body.size()) {
-      size_t pick = body.size();
-      if (options.strategy == JoinStrategy::kNaiveNestedLoop) {
-        // Textual order; a negative literal waits only until it is ground.
-        for (size_t i = 0; i < body.size() && pick == body.size(); ++i) {
-          if (used[i]) continue;
-          if (body[i].positive() || is_ground(body[i].atom())) pick = i;
-        }
-      } else {
-        // Ground negatives are free filters: take the first one.
-        for (size_t i = 0; i < body.size() && pick == body.size(); ++i) {
-          if (!used[i] && body[i].negative() && is_ground(body[i].atom())) {
-            pick = i;
-          }
-        }
-        if (pick == body.size()) {
-          // Cheapest positive by estimated matching rows under the current
-          // bindings; ties favor more bound arguments, then fewer unbound
-          // variables, then the lowest body index (strict-improvement scan).
-          size_t best_cost = 0, best_bound = 0, best_unbound = 0;
-          for (size_t i = 0; i < body.size(); ++i) {
-            if (used[i] || body[i].negative()) continue;
-            const Atom& atom = body[i].atom();
-            size_t cost = provider_for(i).EstimateMatches(atom.predicate(),
-                                                          mask_of(atom));
-            size_t b = bound_args(atom);
-            size_t u = unbound_vars(atom);
-            if (pick == body.size() || cost < best_cost ||
-                (cost == best_cost &&
-                 (b > best_bound || (b == best_bound && u < best_unbound)))) {
-              pick = i;
-              best_cost = cost;
-              best_bound = b;
-              best_unbound = u;
-            }
-          }
+  std::vector<bool> used(body.size(), false);
+  order.reserve(body.size());
+  if (options.forced_first.has_value()) {
+    assert(*options.forced_first < body.size());
+    size_t f = *options.forced_first;
+    order.push_back(f);
+    used[f] = true;
+    mark_bound(body[f].atom());
+  }
+  while (order.size() < body.size()) {
+    size_t pick = body.size();
+    if (options.strategy == JoinStrategy::kNaiveNestedLoop) {
+      // Textual order; a negative literal waits only until it is ground.
+      for (size_t i = 0; i < body.size() && pick == body.size(); ++i) {
+        if (used[i]) continue;
+        if (body[i].positive() || is_ground(body[i].atom())) pick = i;
+      }
+    } else {
+      // Ground negatives are free filters: take the first one.
+      for (size_t i = 0; i < body.size() && pick == body.size(); ++i) {
+        if (!used[i] && body[i].negative() && is_ground(body[i].atom())) {
+          pick = i;
         }
       }
       if (pick == body.size()) {
-        return InternalError(
-            "no safe evaluation order: negative literal with unbound "
-            "variables (rule bypassed allowedness validation?)");
+        // Cheapest positive by estimated matching rows under the current
+        // bindings; ties favor more bound arguments, then fewer unbound
+        // variables, then the lowest body index (strict-improvement scan).
+        size_t best_cost = 0, best_bound = 0, best_unbound = 0;
+        for (size_t i = 0; i < body.size(); ++i) {
+          if (used[i] || body[i].negative()) continue;
+          const Atom& atom = body[i].atom();
+          size_t cost = provider_for(i).EstimateMatches(atom.predicate(),
+                                                        mask_of(atom));
+          size_t b = bound_args(atom);
+          size_t u = unbound_vars(atom);
+          if (pick == body.size() || cost < best_cost ||
+              (cost == best_cost &&
+               (b > best_bound || (b == best_bound && u < best_unbound)))) {
+            pick = i;
+            best_cost = cost;
+            best_bound = b;
+            best_unbound = u;
+          }
+        }
       }
-      used[pick] = true;
-      order.push_back(pick);
-      mark_bound(body[pick].atom());
     }
-    // Reset binding state for compilation below.
-    bound = initially_bound;
+    if (pick == body.size()) {
+      return InternalError(
+          "no safe evaluation order: negative literal with unbound "
+          "variables (rule bypassed allowedness validation?)");
+    }
+    used[pick] = true;
+    order.push_back(pick);
+    mark_bound(body[pick].atom());
   }
+  // Reset binding state for compilation below.
+  bound = initially_bound;
 
   // ---- Step compilation ---------------------------------------------------
   const bool naive = options.strategy == JoinStrategy::kNaiveNestedLoop;
@@ -237,18 +232,36 @@ Result<JoinPlan> JoinPlan::Build(
   return plan;
 }
 
-Result<std::vector<SymbolId>> JoinPlan::InitialRow(
-    const Substitution& subst) const {
-  std::vector<SymbolId> row(slot_vars_.size(), kUnboundSlot);
-  for (size_t slot : initially_bound_slots_) {
-    Term t = subst.Apply(Term::MakeVariable(slot_vars_[slot]));
-    if (!t.is_constant()) {
-      return InvalidArgumentError(
-          "initially-bound variable does not resolve to a constant");
-    }
-    row[slot] = t.constant();
+Result<bool> JoinPlan::InitialRow(const Tuple& head,
+                                  std::vector<SymbolId>* row) const {
+  if (head.size() != head_ops_.size()) {
+    return InvalidArgumentError("head values do not match the head arity");
   }
-  return row;
+  row->assign(slot_vars_.size(), kUnboundSlot);
+  for (size_t j = 0; j < head.size(); ++j) {
+    if (head[j] == kUnboundSlot) continue;
+    const HeadOp& op = head_ops_[j];
+    if (!op.from_slot) {
+      if (op.value != head[j]) return false;
+      continue;
+    }
+    SymbolId& slot = (*row)[op.slot];
+    if (slot != kUnboundSlot && slot != head[j]) return false;
+    slot = head[j];
+  }
+  size_t seeded = 0;
+  for (SymbolId value : *row) seeded += value != kUnboundSlot;
+  for (size_t slot : initially_bound_slots_) {
+    if ((*row)[slot] == kUnboundSlot) {
+      return InvalidArgumentError(
+          "initially-bound variable gets no value from the head");
+    }
+  }
+  if (seeded != initially_bound_slots_.size()) {
+    return InvalidArgumentError(
+        "head value given for a variable the plan does not bind initially");
+  }
+  return true;
 }
 
 void JoinPlan::HeadTupleInto(const SymbolId* row, Tuple* out) const {
@@ -259,13 +272,16 @@ void JoinPlan::HeadTupleInto(const SymbolId* row, Tuple* out) const {
   }
 }
 
-void JoinPlan::FillSubstitution(const SymbolId* row,
-                                Substitution* subst) const {
-  for (size_t i = 0; i < slot_vars_.size(); ++i) {
-    if (row[i] != kUnboundSlot) {
-      subst->Bind(slot_vars_[i], Term::MakeConstant(row[i]));
-    }
+Status JoinPlan::CheckInitial(const std::vector<SymbolId>& initial) const {
+  if (initial.empty() && !initially_bound_slots_.empty()) {
+    return InvalidArgumentError(
+        "plan has initially-bound variables but got no initial row (use "
+        "InitialRow)");
   }
+  if (!initial.empty() && initial.size() != slot_vars_.size()) {
+    return InvalidArgumentError("initial row width does not match plan");
+  }
+  return Status::Ok();
 }
 
 // Block-at-a-time interpreter for one Execute call. Per step it keeps an
@@ -292,14 +308,7 @@ class BlockExecutor {
 
   Result<size_t> Run(const std::vector<SymbolId>& initial) {
     const auto& steps = plan_.plan_steps_;
-    if (initial.empty() && !plan_.initially_bound_slots_.empty()) {
-      return InvalidArgumentError(
-          "plan has initially-bound variables but Execute got no initial "
-          "row (use InitialRow)");
-    }
-    if (!initial.empty() && initial.size() != width_) {
-      return InvalidArgumentError("initial row width does not match plan");
-    }
+    DEDDB_RETURN_IF_ERROR(plan_.CheckInitial(initial));
     states_.resize(steps.size());
     rows_after_.assign(steps.size(), 0);
     for (size_t i = 0; i < steps.size(); ++i) {
@@ -439,6 +448,118 @@ Result<size_t> JoinPlan::Execute(
     const std::vector<SymbolId>& initial, const ResourceGuard* guard,
     ExecStats* stats) const {
   BlockExecutor executor(*this, provider_for, emit, guard, stats);
+  return executor.Run(initial);
+}
+
+// Depth-first interpreter for one ExecuteUntil call. Row i (in one flat
+// buffer) holds the partial row entering step i; each positive step streams
+// its matches through ForEachMatchUntil with a persistent per-step callback,
+// which writes row i+1 and descends. Returning false from any callback
+// unwinds the whole descent, so a lazy provider stops producing at once.
+class StreamExecutor {
+ public:
+  StreamExecutor(const JoinPlan& plan,
+                 const std::function<const FactProvider&(size_t)>& provider_for,
+                 const std::function<bool(const SymbolId* row)>& emit,
+                 const ResourceGuard* guard)
+      : plan_(plan),
+        provider_for_(provider_for),
+        emit_(emit),
+        guard_(guard),
+        width_(plan.slot_vars_.size()) {}
+
+  Result<bool> Run(const std::vector<SymbolId>& initial) {
+    const auto& steps = plan_.plan_steps_;
+    DEDDB_RETURN_IF_ERROR(plan_.CheckInitial(initial));
+    rows_.assign((steps.size() + 1) * width_, JoinPlan::kUnboundSlot);
+    std::copy(initial.begin(), initial.end(), rows_.begin());
+    states_.resize(steps.size());
+    for (size_t i = 0; i < steps.size(); ++i) {
+      StepState& st = states_[i];
+      st.pattern.assign(steps[i].arity, std::nullopt);
+      for (const JoinPlan::PatternOp& op : steps[i].pattern_ops) {
+        if (!op.from_slot) st.pattern[op.pos] = op.value;
+      }
+      st.callback = [this, i](const Tuple& t) { return OnMatch(i, t); };
+    }
+    Descend(0);
+    if (!error_.ok()) return error_;
+    return stopped_;
+  }
+
+ private:
+  struct StepState {
+    TuplePattern pattern;
+    Tuple probe;  // scratch for negative ground probes
+    std::function<bool(const Tuple&)> callback;
+  };
+
+  SymbolId* Row(size_t step_idx) { return rows_.data() + step_idx * width_; }
+
+  // Runs steps step_idx.. on Row(step_idx); false unwinds the descent.
+  bool Descend(size_t step_idx) {
+    if (guard_ != nullptr) {
+      Status ticked = guard_->CheckTick();
+      if (!ticked.ok()) {
+        error_ = std::move(ticked);
+        return false;
+      }
+    }
+    const SymbolId* row = Row(step_idx);
+    const auto& steps = plan_.plan_steps_;
+    if (step_idx == steps.size()) {
+      stopped_ = !emit_(row);
+      return !stopped_;
+    }
+    const JoinPlan::Step& step = steps[step_idx];
+    StepState& st = states_[step_idx];
+    const FactProvider& provider = provider_for_(step.info.literal);
+    if (step.info.negative) {
+      st.probe.resize(step.arity);
+      for (const JoinPlan::PatternOp& op : step.pattern_ops) {
+        st.probe[op.pos] = op.from_slot ? row[op.slot] : op.value;
+      }
+      if (provider.Contains(step.info.predicate, st.probe)) return true;
+      std::copy(row, row + width_, Row(step_idx + 1));
+      return Descend(step_idx + 1);
+    }
+    for (const JoinPlan::PatternOp& op : step.pattern_ops) {
+      if (op.from_slot) st.pattern[op.pos] = row[op.slot];
+    }
+    provider.ForEachMatchUntil(step.info.predicate, st.pattern, st.callback);
+    return error_.ok() && !stopped_;
+  }
+
+  bool OnMatch(size_t step_idx, const Tuple& t) {
+    const JoinPlan::Step& step = plan_.plan_steps_[step_idx];
+    const SymbolId* row = Row(step_idx);
+    SymbolId* next = Row(step_idx + 1);
+    std::copy(row, row + width_, next);
+    for (const JoinPlan::BindOp& op : step.bind_ops) next[op.slot] = t[op.pos];
+    for (const JoinPlan::CheckOp& op : step.check_ops) {
+      if (t[op.pos] != (op.against_slot ? next[op.slot] : op.value)) {
+        return true;  // reject this match, keep enumerating
+      }
+    }
+    return Descend(step_idx + 1);
+  }
+
+  const JoinPlan& plan_;
+  const std::function<const FactProvider&(size_t)>& provider_for_;
+  const std::function<bool(const SymbolId* row)>& emit_;
+  const ResourceGuard* guard_;
+  const size_t width_;
+  std::vector<SymbolId> rows_;
+  std::vector<StepState> states_;
+  bool stopped_ = false;
+  Status error_;
+};
+
+Result<bool> JoinPlan::ExecuteUntil(
+    const std::function<const FactProvider&(size_t)>& provider_for,
+    const std::function<bool(const SymbolId* row)>& emit,
+    const std::vector<SymbolId>& initial, const ResourceGuard* guard) const {
+  StreamExecutor executor(*this, provider_for, emit, guard);
   return executor.Run(initial);
 }
 

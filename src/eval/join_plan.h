@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "datalog/rule.h"
-#include "datalog/substitution.h"
 #include "eval/fact_provider.h"
 #include "util/resource_guard.h"
 #include "util/status.h"
@@ -34,10 +33,16 @@ enum class JoinStrategy {
 /// A compiled evaluation plan for one rule body: an execution order over the
 /// body literals, a per-literal access path, and per-argument ops (constant
 /// checks, bound-slot probes, slot bindings) over a flat row of variable
-/// slots. Execution is block-at-a-time: each step maps a block of partial
-/// rows to the next block in one pass, amortizing the per-tuple overhead the
-/// backtracking join paid (substitution maps, atom rewrites, pattern
-/// allocations) across whole blocks.
+/// slots. A plan runs in one of two modes:
+///  * Execute — block-at-a-time: each step maps a block of partial rows to
+///    the next block in one pass, amortizing the per-tuple overhead across
+///    whole blocks. Bottom-up evaluation and the upward interpreter's
+///    event-rule bodies run here.
+///  * ExecuteUntil — depth-first streaming: one partial row per step,
+///    positive steps probed through ForEachMatchUntil, and the whole descent
+///    unwinds as soon as the caller's emit returns false. Satisfiability
+///    probes and lazy goal-directed queries run here, so lazily-evaluated
+///    providers produce only what the join consumes.
 ///
 /// A plan is immutable after Build and holds no provider state, so one plan
 /// built on the orchestration thread can be executed concurrently by many
@@ -54,12 +59,8 @@ class JoinPlan {
     /// the delta literal.
     std::optional<size_t> forced_first;
     /// Variables bound before execution starts (a partially instantiated
-    /// goal); InitialRow fills their slots from a Substitution.
+    /// goal); InitialRow fills their slots from head values.
     std::vector<VarId> initially_bound;
-    /// Bypasses the ordering heuristics entirely (body_eval's compatibility
-    /// wrappers execute a caller-chosen order). Access paths still follow
-    /// `strategy`.
-    std::optional<std::vector<size_t>> fixed_order;
   };
 
   /// One execution step, in order. `access` is the build-time access-path
@@ -103,14 +104,17 @@ class JoinPlan {
   /// holds slot_vars()[i].
   const std::vector<VarId>& slot_vars() const { return slot_vars_; }
 
-  /// A row with the slots of Options::initially_bound variables filled from
-  /// `subst` (which must bind them to constants, possibly through chains) and
-  /// every other slot kUnboundSlot. Fails with kInvalidArgument if a bound
-  /// variable resolves to a non-constant term.
-  Result<std::vector<SymbolId>> InitialRow(const Substitution& subst) const;
+  /// Seeds `row` for a goal on the rule head: `head[j]` is the value of head
+  /// argument j, or kUnboundSlot for an open argument. Every
+  /// Options::initially_bound variable must get a value, and only they may.
+  /// Returns false when the values cannot match the head (a head constant
+  /// differs, or a repeated head variable gets two values): the rule derives
+  /// nothing for that goal. Fails with kInvalidArgument on a wrong width or
+  /// an initially-bound set the values do not cover exactly.
+  Result<bool> InitialRow(const Tuple& head, std::vector<SymbolId>* row) const;
 
-  /// Runs the plan. `emit` is invoked once per complete body solution with
-  /// the full slot row; use HeadTupleInto / FillSubstitution to decode it.
+  /// Runs the plan block-at-a-time. `emit` is invoked once per complete body
+  /// solution with the full slot row; use HeadTupleInto to decode it.
   /// Returns the number of emissions (the rule-firing count). `initial` must
   /// come from InitialRow (or be empty for no pre-bindings). When `guard` is
   /// non-null it is ticked per input row and per matched tuple, so a deadline
@@ -121,13 +125,20 @@ class JoinPlan {
       const std::vector<SymbolId>& initial = {},
       const ResourceGuard* guard = nullptr, ExecStats* stats = nullptr) const;
 
+  /// Runs the plan depth-first, streaming: `emit` gets each complete row as
+  /// soon as it is found and returns false to stop the whole join. Returns
+  /// whether it stopped early. `initial` and `guard` are as for Execute (the
+  /// guard is ticked per partial row). `emit` runs while provider
+  /// enumerations are live, so it must not mutate what the plan reads.
+  Result<bool> ExecuteUntil(
+      const std::function<const FactProvider&(size_t)>& provider_for,
+      const std::function<bool(const SymbolId* row)>& emit,
+      const std::vector<SymbolId>& initial = {},
+      const ResourceGuard* guard = nullptr) const;
+
   /// Instantiates the rule head from a complete row into `out` (resized).
   void HeadTupleInto(const SymbolId* row, Tuple* out) const;
   SymbolId head_predicate() const { return head_predicate_; }
-
-  /// Binds every slot variable with a bound slot value into `subst`
-  /// (overwriting). Used by the body_eval compatibility wrappers.
-  void FillSubstitution(const SymbolId* row, Substitution* subst) const;
 
   /// Compact one-line rendering for EXPLAIN, e.g.
   ///   `Edge[scan ~12] -> Reaches[col1 ~3] -> !Blocked[key ~1]`
@@ -138,6 +149,10 @@ class JoinPlan {
 
  private:
   friend class BlockExecutor;
+  friend class StreamExecutor;
+
+  // Validates an `initial` row handed to Execute/ExecuteUntil.
+  Status CheckInitial(const std::vector<SymbolId>& initial) const;
 
   // Per-argument compiled ops. Pattern ops fill the probe pattern before the
   // index lookup; check ops filter matches after bind ops ran; bind ops write

@@ -6,10 +6,11 @@
 #include <vector>
 
 #include "datalog/program.h"
-#include "datalog/substitution.h"
 #include "eval/bottom_up.h"
 #include "eval/dependency_graph.h"
 #include "eval/fact_provider.h"
+#include "eval/join_plan.h"
+#include "util/hash.h"
 
 namespace deddb {
 
@@ -17,9 +18,9 @@ namespace deddb {
 ///
 /// Two strategies are available:
 ///  * `SolveTopDown` — SLDNF-style resolution with goal memoization
-///    (tabling of complete answer sets per canonicalized goal), best for
-///    ground or highly selective goals over non-recursive predicates (it
-///    propagates goal constants into rule bodies). Fails with
+///    (tabling of complete answer sets per goal), best for ground or highly
+///    selective goals over non-recursive predicates (goal constants become
+///    initially-bound slots of each rule's JoinPlan). Fails with
 ///    kResourceExhausted when it re-enters a goal still being solved
 ///    (recursion).
 ///  * `SolveMaterialized` — demand-driven materialization: computes (once,
@@ -90,19 +91,45 @@ class QueryEngine {
   void ResetStats() { bu_stats_ = EvaluationStats{}; }
 
  private:
-  // Renames the goal's variables to canonical ids (in order of first
-  // appearance) so equivalent goals share one memo entry.
-  Atom Canonicalize(const Atom& goal) const;
+  // A goal: the predicate and one value per argument, kOpen where the
+  // argument is unbound. Goals from rule bodies never repeat a variable (the
+  // join checks repeats itself); public entry points filter repeated
+  // variables of the caller's atom on the way out.
+  struct Goal {
+    SymbolId predicate;
+    Tuple args;
+    bool operator==(const Goal&) const = default;
+  };
+  struct GoalHash {
+    size_t operator()(const Goal& goal) const {
+      size_t seed = TupleHash()(goal.args);
+      HashCombine(seed, goal.predicate);
+      return seed;
+    }
+  };
+  static constexpr SymbolId kOpen = SymbolTable::kNoSymbol;
+  static Goal GoalOf(const Atom& atom);
+  static Goal GoalOf(SymbolId predicate, const TuplePattern& pattern);
 
-  // Memoized solve of a canonicalized goal; returns a pointer into the memo
-  // (stable: node-based map).
-  Result<const std::vector<Tuple>*> SolveMemo(const Atom& canonical,
-                                              size_t depth);
+  // Answers a rule body's derived literals by recursing into the engine; see
+  // query_engine.cc.
+  class GoalProvider;
 
-  // Lazy depth-first resolution: emits ground solutions of `goal` until
-  // `emit` returns false (stop). Returns true if stopped early.
-  Result<bool> SolveLazy(const Atom& goal, size_t depth,
-                         const std::function<bool(const Atom&)>& emit);
+  // Memoized solve of `goal`; returns a pointer into the memo (stable:
+  // node-based map).
+  Result<const std::vector<Tuple>*> SolveMemo(const Goal& goal, size_t depth);
+
+  // Lazy depth-first resolution: emits solutions of `goal` (possibly
+  // repeated, one per derivation) until `emit` returns false (stop).
+  // Returns true if stopped early.
+  Result<bool> SolveLazy(const Goal& goal, size_t depth,
+                         const std::function<bool(const Tuple&)>& emit);
+
+  // Plans `rule` for `goal`: the head variables the goal's values bind are
+  // bound initially; `provider_for` serves the body literals.
+  static Result<JoinPlan> PlanFor(
+      const Rule& rule, const Goal& goal,
+      const std::function<const FactProvider&(size_t)>& provider_for);
 
   // Ensures every defined predicate reachable from `goal_pred` is in cache_.
   Status MaterializeFor(SymbolId goal_pred);
@@ -123,14 +150,10 @@ class QueryEngine {
   std::unordered_set<SymbolId> materialized_;
   EvaluationStats bu_stats_;
 
-  std::unordered_map<Atom, std::vector<Tuple>, AtomHash> memo_;
-  std::unordered_set<Atom, AtomHash> in_progress_;
+  std::unordered_map<Goal, std::vector<Tuple>, GoalHash> memo_;
+  std::unordered_set<Goal, GoalHash> in_progress_;
   // Existence results for ground goals proved/refuted by lazy resolution.
-  std::unordered_map<Atom, bool, AtomHash> exists_memo_;
-
-  // Fresh-variable counter for renaming rules apart during top-down
-  // resolution; ids in this range never collide with named variables.
-  VarId next_fresh_var_;
+  std::unordered_map<Goal, bool, GoalHash> exists_memo_;
 };
 
 }  // namespace deddb

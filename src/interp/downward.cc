@@ -293,6 +293,7 @@ Result<Dnf> DownwardInterpreter::DownBaseEvent(SymbolId pred,
       acc = std::move(*merged);
     });
     DEDDB_RETURN_IF_ERROR(status);
+    DEDDB_RETURN_IF_ERROR(old_state_.TakeError());
     return acc;
   }
 
@@ -353,7 +354,7 @@ Result<Dnf> DownwardInterpreter::DownNew(SymbolId new_sym, SymbolId old_pred,
     // variables.
     Substitution renaming;
     for (VarId v : original.DistinctVariables()) {
-      renaming.Bind(v, Term::MakeVariable(next_fresh_var_++));
+      renaming.Bind(v, Term::MakeVariable(next_rename_var_++));
     }
     Rule rule = renaming.Apply(original);
 
@@ -580,6 +581,7 @@ Result<Dnf> DownwardInterpreter::DownBody(const Rule& rule,
       }
       old_state_.ForEachMatch(info->base_symbol, pattern, try_instance);
       DEDDB_RETURN_IF_ERROR(status);
+      DEDDB_RETURN_IF_ERROR(old_state_.TakeError());
       return acc;
     }
     // Insertion events range over the active domain.

@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "datalog/substitution.h"
 #include "events/event_compiler.h"
 #include "interp/dnf.h"
 #include "interp/domain.h"
@@ -109,7 +110,7 @@ class DownwardInterpreter {
   OldStateView old_state_;
   // Fresh-variable counter for renaming transition rules apart; ids start
   // far above interned variables and never escape one interpretation.
-  VarId next_fresh_var_ = 0x20000000;
+  VarId next_rename_var_ = 0x20000000;
 
   // Memo of ground DownEvent results (key: predicate, is_insert, tuple).
   // Valid for one Interpret call: cleared on entry because the working

@@ -1,5 +1,7 @@
 #include "interp/old_state.h"
 
+#include <utility>
+
 #include "datalog/unify.h"
 
 namespace deddb {
@@ -56,11 +58,12 @@ void OldStateView::ForEachMatch(
     if (rel != nullptr) rel->ForEachMatch(pattern, fn);
     return;
   }
-  Result<std::vector<Tuple>> result = [&] {
+  Result<std::vector<Tuple>> result = [&]() -> Result<std::vector<Tuple>> {
     std::lock_guard<std::recursive_mutex> lock(engine_mu_);
-    return engine_->SolvePattern(PatternToAtom(predicate, pattern));
+    if (!error_.ok()) return std::vector<Tuple>{};
+    return Record(engine_->SolvePattern(PatternToAtom(predicate, pattern)));
   }();
-  if (!result.ok()) return;  // treat evaluation failure as no matches
+  if (!result.ok()) return;  // kept for TakeError
   for (const Tuple& t : *result) fn(t);
 }
 
@@ -73,14 +76,11 @@ bool OldStateView::ForEachMatchUntil(
       !db_->IsMaterialized(predicate)) {
     // Stream solutions lazily through the engine; recursion falls back to
     // the strict path.
-    std::unique_lock<std::recursive_mutex> lock(engine_mu_);
-    Result<bool> stopped = engine_->SolveLazyPattern(
-        PatternToAtom(predicate, pattern), [&](const Tuple& t) {
-          return fn(t);  // false = stop
-        });
-    lock.unlock();
-    if (stopped.ok()) return *stopped;
-    // Fall through to the default (materializing) behaviour on error.
+    std::lock_guard<std::recursive_mutex> lock(engine_mu_);
+    if (!error_.ok()) return false;
+    Result<bool> stopped = Record(
+        engine_->SolveLazyPattern(PatternToAtom(predicate, pattern), fn));
+    return stopped.ok() && *stopped;
   }
   return FactProvider::ForEachMatchUntil(predicate, pattern, fn);
 }
@@ -95,8 +95,14 @@ bool OldStateView::Contains(SymbolId predicate, const Tuple& tuple) const {
     return db_->materialized_store().Contains(predicate, tuple);
   }
   std::lock_guard<std::recursive_mutex> lock(engine_mu_);
-  Result<bool> holds = engine_->Holds(AtomFromTuple(predicate, tuple));
+  if (!error_.ok()) return false;
+  Result<bool> holds = Record(engine_->Holds(AtomFromTuple(predicate, tuple)));
   return holds.ok() && *holds;
+}
+
+Status OldStateView::TakeError() const {
+  std::lock_guard<std::recursive_mutex> lock(engine_mu_);
+  return std::exchange(error_, Status::Ok());
 }
 
 size_t OldStateView::EstimateCount(SymbolId predicate) const {

@@ -17,7 +17,10 @@ namespace deddb {
 /// which is by definition the old state.
 ///
 /// Also usable as a FactProvider so rule bodies mixing old literals and
-/// event literals can be joined uniformly.
+/// event literals can be joined uniformly. The provider interface cannot
+/// return a status, so the first evaluation error it meets is kept (and
+/// later provider calls answer "no matches" at once) until TakeError; a
+/// caller joining over the view checks TakeError after each join.
 class OldStateView : public FactProvider {
  public:
   /// `db` must outlive the view. Evaluation of derived predicates uses
@@ -43,6 +46,11 @@ class OldStateView : public FactProvider {
   /// that hold in the old state.
   Result<std::vector<Tuple>> Query(const Atom& pattern) const;
 
+  /// The first evaluation error a provider-interface call (ForEachMatch,
+  /// ForEachMatchUntil, Contains) met since the last TakeError, or OK;
+  /// clears it.
+  Status TakeError() const;
+
   /// Drops derived-predicate caches (call if the EDB changed).
   void Invalidate();
 
@@ -66,6 +74,15 @@ class OldStateView : public FactProvider {
   // literal through the same view on the same thread.
   mutable std::recursive_mutex engine_mu_;
   mutable std::unique_ptr<QueryEngine> engine_;
+  // First error swallowed by the provider interface; guarded by engine_mu_.
+  mutable Status error_;
+
+  // Keeps `result`'s error (if it is the first) and passes `result` on.
+  template <typename T>
+  Result<T> Record(Result<T> result) const {
+    if (!result.ok() && error_.ok()) error_ = result.status();
+    return result;
+  }
 };
 
 }  // namespace deddb

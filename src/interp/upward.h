@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "eval/join_plan.h"
 #include "events/event_compiler.h"
 #include "events/transaction_provider.h"
 #include "interp/derived_events.h"
@@ -66,11 +67,16 @@ class UpwardInterpreter {
   Result<DerivedEvents> RunRecompute(const Transaction& transaction,
                                      const std::vector<SymbolId>& wanted);
 
+  // One plan per transition rule for `new_sym`, every head variable bound
+  // initially: built once per predicate and probed once per candidate.
+  Result<std::vector<JoinPlan>> PlanNewStateProbes(
+      SymbolId new_sym, const FactProvider& provider) const;
+
   // True if the ground instance new$P(tuple) holds in the transition, i.e.
-  // some transition-rule body for `new_sym` is satisfiable with the head
-  // bound to `tuple`.
-  Result<bool> NewStateHolds(SymbolId new_sym, const Tuple& tuple,
-                             const FactProvider& provider);
+  // some transition-rule body (one of `probes`) is satisfiable with the head
+  // bound to `tuple`. Each probe stops at its first witness.
+  Result<bool> NewStateHolds(const std::vector<JoinPlan>& probes,
+                             const Tuple& tuple, const FactProvider& provider);
 
   const Database* db_;
   const CompiledEvents* compiled_;

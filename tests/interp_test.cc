@@ -12,6 +12,7 @@
 #include "interp/old_state.h"
 #include "interp/upward.h"
 #include "parser/parser.h"
+#include "util/strings.h"
 
 namespace deddb {
 namespace {
@@ -173,6 +174,44 @@ TEST(UpwardTest, CascadedEventsThroughTwoLevels) {
   auto events = db->InducedEvents(*txn);
   ASSERT_TRUE(events.ok());
   EXPECT_EQ(events->ToString(db->symbols()), "{del Mid(A), del Top(A)}");
+}
+
+// A view over a non-recursive chain deeper than the query engine's depth
+// bound (512): the old-state descent through the chain fails, and the event
+// rules must report that failure instead of treating it as "no matches"
+// (which silently dropped del V(Alice)).
+TEST(UpwardTest, DeepOldStateErrorIsNotSwallowed) {
+  constexpr int kLevels = 520;
+  std::string source = "base B/1. base C/1. view V/1.\n";
+  for (int i = 0; i <= kLevels; ++i) source += StrCat("derived P", i, "/1.\n");
+  source += "V(x) <- P0(x) & C(x).\n";
+  for (int i = 0; i < kLevels; ++i) {
+    source += StrCat("P", i, "(x) <- P", i + 1, "(x).\n");
+  }
+  source += StrCat("P", kLevels, "(x) <- B(x).\nB(Alice). C(Alice).\n");
+  auto db = Load(source.c_str());
+  auto compiled = db->Compiled();
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto txn = ParseTransaction(db.get(), "del C(Alice)");
+  ASSERT_TRUE(txn.ok()) << txn.status();
+
+  UpwardOptions recompute_options;
+  recompute_options.strategy = UpwardStrategy::kRecompute;
+  UpwardInterpreter recompute(&db->database(), *compiled, recompute_options);
+  auto expected = recompute.InducedEvents(*txn);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  SymbolId v = db->database().FindPredicate("V").value();
+  ASSERT_TRUE(expected->ContainsDelete(v, {db->symbols().Intern("Alice")}));
+
+  UpwardInterpreter event_rules(&db->database(), *compiled, UpwardOptions{});
+  auto events = event_rules.InducedEvents(*txn);
+  if (events.ok()) {
+    EXPECT_EQ(events->ToString(db->symbols()),
+              expected->ToString(db->symbols()));
+  } else {
+    EXPECT_EQ(events.status().code(), StatusCode::kResourceExhausted)
+        << events.status();
+  }
 }
 
 TEST(UpwardTest, EmptyTransactionInducesNothing) {

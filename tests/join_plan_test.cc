@@ -2,7 +2,8 @@
 // maintenance on Relation (insert/erase/clone/bulk-load), PlanAccess
 // selection, the ReplaceContents index-mode regression (incl. the persistence
 // codec's DecodeRelationInto path), JoinPlan ordering/execution under both
-// strategies, and the static index advisor.
+// strategies and in both modes (block and streaming), and the static index
+// advisor.
 
 #include <gtest/gtest.h>
 
@@ -333,16 +334,6 @@ TEST(JoinPlanTest, ForcedFirstOverridesSelectivity) {
   EXPECT_EQ(firings, 2u);
 }
 
-TEST(JoinPlanTest, FixedOrderBypassesHeuristics) {
-  auto db = Load(kChainProgram);
-  JoinPlan::Options options;
-  options.fixed_order = std::vector<size_t>{0, 1};
-  auto plan = BuildPlan(*db, "D", options);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  EXPECT_EQ(plan->order(), (std::vector<size_t>{0, 1}));
-  EXPECT_EQ(RunPlan(*db, *plan).size(), 2u);
-}
-
 TEST(JoinPlanTest, NegativeLiteralRunsGroundAndFilters) {
   auto db = Load(R"(
     base B/1.
@@ -449,6 +440,152 @@ TEST(JoinPlanTest, CancelledGuardAbortsExecution) {
   EXPECT_FALSE(fired.ok());
 }
 
+// ---------------------------------------------------------------------------
+// JoinPlan: streaming mode (ExecuteUntil).
+
+// A FactStoreProvider that streams for real: ForEachMatchUntil stops handing
+// out tuples once the caller says stop, and counts the ones it handed out.
+class CountingProvider : public FactStoreProvider {
+ public:
+  using FactStoreProvider::FactStoreProvider;
+
+  bool ForEachMatchUntil(
+      SymbolId predicate, const TuplePattern& pattern,
+      const std::function<bool(const Tuple&)>& fn) const override {
+    bool stopped = false;
+    ForEachMatch(predicate, pattern, [&](const Tuple& t) {
+      if (stopped) return;
+      ++produced;
+      stopped = !fn(t);
+    });
+    return stopped;
+  }
+
+  mutable size_t produced = 0;
+};
+
+constexpr char kFanOutProgram[] = R"(
+  base E/2.
+  derived D/1.
+  D(x) <- E(x, y).
+  E(A, B). E(A, C). E(B, C). E(C, A). E(C, B).
+)";
+
+TEST(JoinPlanStreamTest, StopsAfterTheFirstWitness) {
+  auto db = Load(kFanOutProgram);
+  auto plan = BuildPlan(*db, "D", {});
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  CountingProvider provider(&db->database().facts());
+  auto provider_for = [&](size_t) -> const FactProvider& { return provider; };
+
+  size_t emitted = 0;
+  auto stopped = plan->ExecuteUntil(provider_for, [&](const SymbolId*) {
+    ++emitted;
+    return false;
+  });
+  ASSERT_TRUE(stopped.ok()) << stopped.status();
+  EXPECT_TRUE(*stopped);
+  EXPECT_EQ(emitted, 1u);
+  EXPECT_EQ(provider.produced, 1u) << "the scan must stop with the join";
+
+  // Run to completion: every solution, and not stopped.
+  provider.produced = 0;
+  std::vector<Tuple> rows;
+  Tuple head;
+  stopped = plan->ExecuteUntil(provider_for, [&](const SymbolId* row) {
+    plan->HeadTupleInto(row, &head);
+    rows.push_back(head);
+    return true;
+  });
+  ASSERT_TRUE(stopped.ok()) << stopped.status();
+  EXPECT_FALSE(*stopped);
+  EXPECT_EQ(provider.produced, 5u);
+  std::sort(rows.begin(), rows.end());
+  EXPECT_EQ(rows, RunPlan(*db, *plan)) << "both modes find the same rows";
+}
+
+TEST(JoinPlanStreamTest, CancelledGuardAbortsMidStream) {
+  auto db = Load(kFanOutProgram);
+  auto plan = BuildPlan(*db, "D", {});
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  CountingProvider provider(&db->database().facts());
+  CancellationToken token;
+  ResourceGuard guard(ResourceLimits{}, &token);
+  size_t emitted = 0;
+  auto stopped = plan->ExecuteUntil(
+      [&](size_t) -> const FactProvider& { return provider; },
+      [&](const SymbolId*) {
+        ++emitted;
+        token.Cancel();  // the next partial row must see it
+        return true;
+      },
+      {}, &guard);
+  ASSERT_FALSE(stopped.ok());
+  EXPECT_EQ(stopped.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(emitted, 1u);
+  EXPECT_EQ(provider.produced, 2u);
+}
+
+TEST(JoinPlanStreamTest, GroundNegativeStepFiltersRows) {
+  auto db = Load(R"(
+    base B/1.
+    base Blocked/1.
+    derived D/1.
+    D(x) <- B(x) & not Blocked(x).
+    B(A). B(C). B(E).
+    Blocked(C).
+  )");
+  auto plan = BuildPlan(*db, "D", {});
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_TRUE(plan->steps()[1].negative);
+  FactStoreProvider provider(&db->database().facts());
+  std::vector<Tuple> rows;
+  Tuple head;
+  auto stopped = plan->ExecuteUntil(
+      [&](size_t) -> const FactProvider& { return provider; },
+      [&](const SymbolId* row) {
+        plan->HeadTupleInto(row, &head);
+        rows.push_back(head);
+        return true;
+      });
+  ASSERT_TRUE(stopped.ok()) << stopped.status();
+  std::sort(rows.begin(), rows.end());
+  std::vector<Tuple> expected = {{db->symbols().Find("A")},
+                                 {db->symbols().Find("E")}};
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(rows, expected);
+}
+
+TEST(JoinPlanStreamTest, SeededPlanStreamsTheGoalOnly) {
+  auto db = Load(kChainProgram);
+  JoinPlan::Options options;
+  options.initially_bound.push_back(
+      RuleFor(*db, "D").head().args()[1].variable());
+  auto plan = BuildPlan(*db, "D", options);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  FactStoreProvider provider(&db->database().facts());
+  auto provider_for = [&](size_t) -> const FactProvider& { return provider; };
+  auto always = [](const SymbolId*) { return true; };
+  // The row must be seeded: streaming validates it like Execute does.
+  EXPECT_FALSE(plan->ExecuteUntil(provider_for, always).ok());
+
+  std::vector<SymbolId> initial;
+  ASSERT_TRUE(plan->InitialRow({JoinPlan::kUnboundSlot,
+                                db->symbols().Find("C")},
+                               &initial)
+                  .value());
+  size_t emitted = 0;
+  auto stopped = plan->ExecuteUntil(
+      provider_for,
+      [&](const SymbolId*) {
+        ++emitted;
+        return true;
+      },
+      initial);
+  ASSERT_TRUE(stopped.ok()) << stopped.status();
+  EXPECT_EQ(emitted, 1u);  // D(A, C): Big(A, C) & Small(A)
+}
+
 TEST(JoinPlanTest, ToStringRendersOrderAccessAndEstimates) {
   auto db = Load(kChainProgram);
   auto plan = BuildPlan(*db, "D", {});
@@ -509,18 +646,18 @@ TEST(JoinPlanTest, ToStringRendersCompositeAndColumnAccess) {
 TEST(JoinPlanTest, InitiallyBoundVariableSeedsTheJoin) {
   auto db = Load(kChainProgram);
   const Rule& rule = RuleFor(*db, "D");
-  // Bind x = A before evaluation starts (the interpreter's partial-
-  // substitution entry point, body_eval.cc).
+  // Bind x = A before evaluation starts (a goal D(A, y) on the head).
   VarId x = rule.head().args()[0].variable();
   JoinPlan::Options options;
   options.initially_bound.push_back(x);
   auto plan = BuildPlan(*db, "D", options);
   ASSERT_TRUE(plan.ok()) << plan.status();
 
-  Substitution subst;
-  subst.Bind(x, Term::MakeConstant(db->symbols().Find("A")));
-  auto initial = plan->InitialRow(subst);
-  ASSERT_TRUE(initial.ok()) << initial.status();
+  const SymbolId a = db->symbols().Find("A");
+  std::vector<SymbolId> initial;
+  auto matches = plan->InitialRow({a, JoinPlan::kUnboundSlot}, &initial);
+  ASSERT_TRUE(matches.ok()) << matches.status();
+  ASSERT_TRUE(*matches);
 
   FactStoreProvider provider(&db->database().facts());
   std::vector<Tuple> out;
@@ -531,20 +668,12 @@ TEST(JoinPlanTest, InitiallyBoundVariableSeedsTheJoin) {
         plan->HeadTupleInto(row, &head);
         out.push_back(head);
       },
-      *initial);
+      initial);
   ASSERT_TRUE(fired.ok()) << fired.status();
   EXPECT_EQ(out.size(), 2u);  // D(A, B), D(A, C) only — x was pinned to A.
   for (const Tuple& t : out) {
-    EXPECT_EQ(t[0], db->symbols().Find("A"));
+    EXPECT_EQ(t[0], a);
   }
-
-  // Round trip through FillSubstitution: a result row binds every slot the
-  // join touched and leaves the rest alone.
-  Substitution filled;
-  std::vector<SymbolId> row = *initial;
-  row[0] = db->symbols().Find("A");
-  plan->FillSubstitution(row.data(), &filled);
-  EXPECT_TRUE(filled.Apply(Term::MakeVariable(x)).is_constant());
 }
 
 TEST(JoinPlanTest, InitialRowRejectsUnresolvedBinding) {
@@ -554,8 +683,36 @@ TEST(JoinPlanTest, InitialRowRejectsUnresolvedBinding) {
   options.initially_bound.push_back(rule.head().args()[0].variable());
   auto plan = BuildPlan(*db, "D", options);
   ASSERT_TRUE(plan.ok()) << plan.status();
-  Substitution empty;  // x does not resolve to a constant
-  EXPECT_FALSE(plan->InitialRow(empty).ok());
+  const SymbolId a = db->symbols().Find("A");
+  std::vector<SymbolId> row;
+  // x gets no value; y gets one it is not bound initially for; wrong width.
+  EXPECT_FALSE(
+      plan->InitialRow({JoinPlan::kUnboundSlot, JoinPlan::kUnboundSlot}, &row)
+          .ok());
+  EXPECT_FALSE(plan->InitialRow({a, a}, &row).ok());
+  EXPECT_FALSE(plan->InitialRow({a}, &row).ok());
+}
+
+TEST(JoinPlanTest, InitialRowRefusesValuesTheHeadCannotTake) {
+  auto db = Load(R"(
+    base E/2.
+    derived D/3.
+    D(x, x, A) <- E(x, y).
+    E(A, B).
+  )");
+  const Rule& rule = RuleFor(*db, "D");
+  JoinPlan::Options options;
+  options.initially_bound.push_back(rule.head().args()[0].variable());
+  auto plan = BuildPlan(*db, "D", options);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  const SymbolId a = db->symbols().Find("A");
+  const SymbolId b = db->symbols().Find("B");
+  const SymbolId open = JoinPlan::kUnboundSlot;
+  std::vector<SymbolId> row;
+  // The repeated head variable gets two values; the head constant differs.
+  EXPECT_FALSE(plan->InitialRow({a, b, open}, &row).value());
+  EXPECT_FALSE(plan->InitialRow({a, open, b}, &row).value());
+  EXPECT_TRUE(plan->InitialRow({a, a, a}, &row).value());
 }
 
 TEST(JoinPlanTest, ExecuteValidatesTheInitialRow) {
