@@ -44,21 +44,4 @@ bool MatchAtomAgainstTuple(const Atom& pattern,
   return true;
 }
 
-bool MatchAtom(const Atom& pattern, const Atom& ground, Substitution* subst) {
-  if (pattern.predicate() != ground.predicate() ||
-      pattern.arity() != ground.arity()) {
-    return false;
-  }
-  for (size_t i = 0; i < pattern.arity(); ++i) {
-    Term p = subst->Apply(pattern.args()[i]);
-    const Term& g = ground.args()[i];
-    if (p.is_variable()) {
-      subst->Bind(p.variable(), g);
-    } else if (p != g) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace deddb

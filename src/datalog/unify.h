@@ -14,13 +14,9 @@ namespace deddb {
 /// check is needed.
 bool UnifyAtoms(const Atom& a, const Atom& b, Substitution* subst);
 
-/// One-sided matching: extends `subst` so that pattern == ground under it.
-/// `ground` must be ground. Returns false if no match.
-bool MatchAtom(const Atom& pattern, const Atom& ground, Substitution* subst);
-
-/// Matches `pattern`'s arguments against a stored tuple (same semantics as
-/// MatchAtom with ground atom pattern.predicate()(tuple...)). `tuple` must
-/// have pattern.arity() elements.
+/// One-sided matching of `pattern`'s arguments against a stored tuple:
+/// extends `subst` so that pattern's arguments equal `tuple` under it.
+/// Returns false if no match (including an arity mismatch).
 bool MatchAtomAgainstTuple(const Atom& pattern,
                            const std::vector<SymbolId>& tuple,
                            Substitution* subst);
