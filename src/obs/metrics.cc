@@ -5,24 +5,30 @@
 
 namespace deddb::obs {
 
-void MetricsRegistry::Add(std::string_view name, uint64_t delta) {
+Counter* MetricsRegistry::GetCounter(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
   if (it == counters_.end()) {
-    counters_.emplace(std::string(name), delta);
-  } else {
-    it->second += delta;
+    it = counters_.try_emplace(std::string(name)).first;
   }
+  return &it->second;
 }
 
-void MetricsRegistry::Set(std::string_view name, int64_t value) {
+Gauge* MetricsRegistry::GetGauge(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = gauges_.find(name);
   if (it == gauges_.end()) {
-    gauges_.emplace(std::string(name), value);
-  } else {
-    it->second = value;
+    it = gauges_.try_emplace(std::string(name)).first;
   }
+  return &it->second;
+}
+
+void MetricsRegistry::Add(std::string_view name, uint64_t delta) {
+  GetCounter(name)->Add(delta);
+}
+
+void MetricsRegistry::Set(std::string_view name, int64_t value) {
+  GetGauge(name)->Set(value);
 }
 
 void MetricsRegistry::Observe(std::string_view name, int64_t value) {
@@ -46,13 +52,13 @@ void MetricsRegistry::Observe(std::string_view name, int64_t value) {
 uint64_t MetricsRegistry::counter(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
+  return it == counters_.end() ? 0 : it->second.value();
 }
 
 int64_t MetricsRegistry::gauge(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = gauges_.find(name);
-  return it == gauges_.end() ? 0 : it->second;
+  return it == gauges_.end() ? 0 : it->second.value();
 }
 
 MetricsRegistry::HistogramSnapshot MetricsRegistry::histogram(
@@ -67,11 +73,11 @@ MetricsRegistry::HistogramSnapshot MetricsRegistry::histogram(
 std::string MetricsRegistry::RenderText() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
-  for (const auto& [name, value] : counters_) {
-    out += StrCat("counter ", name, " ", value, "\n");
+  for (const auto& [name, cell] : counters_) {
+    out += StrCat("counter ", name, " ", cell.value(), "\n");
   }
-  for (const auto& [name, value] : gauges_) {
-    out += StrCat("gauge ", name, " ", value, "\n");
+  for (const auto& [name, cell] : gauges_) {
+    out += StrCat("gauge ", name, " ", cell.value(), "\n");
   }
   for (const auto& [name, h] : histograms_) {
     out += StrCat("histogram ", name, " count=", h.count, " sum=", h.sum,
@@ -84,17 +90,17 @@ std::string MetricsRegistry::ToJson() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out = "{\"counters\":{";
   bool first = true;
-  for (const auto& [name, value] : counters_) {
+  for (const auto& [name, cell] : counters_) {
     if (!first) out += ",";
     first = false;
-    out += StrCat(JsonQuote(name), ":", value);
+    out += StrCat(JsonQuote(name), ":", cell.value());
   }
   out += "},\"gauges\":{";
   first = true;
-  for (const auto& [name, value] : gauges_) {
+  for (const auto& [name, cell] : gauges_) {
     if (!first) out += ",";
     first = false;
-    out += StrCat(JsonQuote(name), ":", value);
+    out += StrCat(JsonQuote(name), ":", cell.value());
   }
   out += "},\"histograms\":{";
   first = true;
@@ -106,13 +112,6 @@ std::string MetricsRegistry::ToJson() const {
   }
   out += "}}";
   return out;
-}
-
-void MetricsRegistry::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
 }
 
 }  // namespace deddb::obs

@@ -1,6 +1,7 @@
 #ifndef DEDDB_OBS_METRICS_H_
 #define DEDDB_OBS_METRICS_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -8,6 +9,31 @@
 #include <string_view>
 
 namespace deddb::obs {
+
+/// A counter cell of a MetricsRegistry, reached through a handle from
+/// MetricsRegistry::GetCounter. Add is one relaxed atomic increment, with no
+/// lock and no lookup, so hot paths (the server's per-request counts, the
+/// CDC fan-out) can record into the registry directly.
+class Counter {
+ public:
+  void Add(uint64_t delta = 1) {
+    value_.fetch_add(delta, std::memory_order_relaxed);
+  }
+  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<uint64_t> value_{0};
+};
+
+/// A gauge cell of a MetricsRegistry; see Counter.
+class Gauge {
+ public:
+  void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }
+  int64_t value() const { return value_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<int64_t> value_{0};
+};
 
 /// A registry of named counters, gauges and histograms — the sink the
 /// scattered per-component stats structs (EvaluationStats, UpwardStats,
@@ -25,13 +51,20 @@ namespace deddb::obs {
 /// wall times. Together these make RenderText()/ToJson() byte-identical for
 /// every `num_threads` >= 1 (verified by tests/trace_parallel_test.cc).
 ///
-/// Thread-safety: all methods lock, so concurrent recording is safe even
-/// where the determinism contract does not hold.
+/// Thread-safety: the named methods lock, and handles are atomic cells, so
+/// concurrent recording is safe even where the determinism contract does
+/// not hold.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
+
+  /// The cell of the counter / gauge `name`, created at zero on first use
+  /// (so it renders from then on). The pointer stays valid for the
+  /// registry's lifetime; the named Add/Set below reach the same cell.
+  Counter* GetCounter(std::string_view name);
+  Gauge* GetGauge(std::string_view name);
 
   /// Adds `delta` to the counter `name` (created at zero on first use).
   void Add(std::string_view name, uint64_t delta = 1);
@@ -61,8 +94,6 @@ class MetricsRegistry {
   /// max}}}, keys sorted.
   std::string ToJson() const;
 
-  void Clear();
-
   // ---- Nullable-pointer conveniences ---------------------------------------
   // Instrumentation sites store `MetricsRegistry*` with nullptr meaning
   // "disabled"; these keep call sites to one line and one pointer test.
@@ -88,8 +119,9 @@ class MetricsRegistry {
   };
 
   mutable std::mutex mu_;
-  std::map<std::string, uint64_t, std::less<>> counters_;
-  std::map<std::string, int64_t, std::less<>> gauges_;
+  // std::map nodes never move, which is what keeps handles valid.
+  std::map<std::string, Counter, std::less<>> counters_;
+  std::map<std::string, Gauge, std::less<>> gauges_;
   std::map<std::string, Histogram, std::less<>> histograms_;
 };
 

@@ -19,6 +19,33 @@ bool IsGuardTrip(StatusCode code) {
          code == StatusCode::kCancelled;
 }
 
+// One row per Server::CounterId, in enum order: the counter's key in the
+// Stats JSON and its registry name. Both are stable, operator-facing names.
+struct CounterName {
+  const char* json;
+  const char* metric;
+};
+constexpr CounterName kCounterNames[] = {
+    {"connections_total", "server.connections_total"},
+    {"connections_rejected", "server.connections_rejected"},
+    {"requests_read", "server.requests_read"},
+    {"requests_write", "server.requests_write"},
+    {"writes_applied", "server.writes_applied"},
+    {"writes_rejected", "server.writes_rejected"},
+    {"rejected_overload", "server.rejected_overload"},
+    {"rejected_quota", "server.rejected_quota"},
+    {"rejected_shutdown", "server.rejected_shutdown"},
+    {"rejected_degraded", "server.rejected_degraded"},
+    {"deadline_expired_in_queue", "server.deadline_expired_in_queue"},
+    {"protocol_errors", "server.protocol_errors"},
+    {"guard_trips", "server.guard_trips"},
+    {"dedup_hits", "server.dedup_hits"},
+    {"feed_fetches", "server.feed_fetches"},
+    {"feed_records_shipped", "server.feed_records_shipped"},
+    {"stale_rejections", "server.stale_rejections"},
+    {"rejected_replica_writes", "server.rejected_replica_writes"},
+};
+
 }  // namespace
 
 /// Per-connection state. The reader thread owns session/guard exclusively
@@ -60,9 +87,22 @@ struct Server::WriteJob {
 Server::Server(DeductiveDatabase* db, ServerOptions options)
     : db_(db),
       options_(std::move(options)),
-      metrics_(options_.obs.metrics),
-      subs_(sub::SubscriptionManager::Options{options_.cdc_retain,
-                                              options_.obs}) {}
+      owned_metrics_(options_.obs.metrics == nullptr
+                         ? std::make_unique<obs::MetricsRegistry>()
+                         : nullptr),
+      metrics_(options_.obs.metrics != nullptr ? options_.obs.metrics
+                                               : owned_metrics_.get()),
+      subs_(sub::SubscriptionManager::Options{
+          options_.cdc_retain,
+          obs::ObsContext{options_.obs.tracer, metrics_}}) {
+  static_assert(std::size(kCounterNames) == kCounterCount);
+  for (size_t i = 0; i < kCounterCount; ++i) {
+    counter_handles_[i] = metrics_->GetCounter(kCounterNames[i].metric);
+  }
+  queue_depth_gauge_ = metrics_->GetGauge("server.queue_depth");
+  connections_gauge_ = metrics_->GetGauge("server.connections_active");
+  degraded_gauge_ = metrics_->GetGauge("server.degraded");
+}
 
 Server::~Server() { Stop(); }
 
@@ -145,7 +185,7 @@ void Server::Stop() {
     std::lock_guard<std::mutex> lock(mu_);
     connections_.clear();
     owners_.clear();
-    obs::MetricsRegistry::Set(metrics_, "server.connections_active", 0);
+    connections_gauge_->Set(0);
   }
   db_->set_resource_guard(previous_facade_guard_);
   {
@@ -165,38 +205,23 @@ size_t Server::active_connections() const {
   return connections_.size();
 }
 
-std::string Server::StatsJson() const {
-  Counters c;
-  size_t depth = 0, conns = 0;
-  bool degraded = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    c = counters_;
-    depth = write_queue_.size() + writes_in_flight_;
-    conns = connections_.size();
-    degraded = degraded_;
+void Server::AppendCounters(std::string* out, CounterId first,
+                            CounterId last) const {
+  for (size_t i = first; i < last; ++i) {
+    *out += StrCat(",\"", kCounterNames[i].json,
+                   "\":", counter_handles_[i]->value());
   }
+}
+
+std::string Server::StatsJson() const {
   std::string out = StrCat(
-      "{\"server\":{\"queue_depth\":", depth,
-      ",\"degraded\":", degraded ? 1 : 0,
-      ",\"connections_active\":", conns,
-      ",\"connections_total\":", c.connections_total,
-      ",\"connections_rejected\":", c.connections_rejected,
-      ",\"requests_read\":", c.requests_read,
-      ",\"requests_write\":", c.requests_write,
-      ",\"writes_applied\":", c.writes_applied,
-      ",\"writes_rejected\":", c.writes_rejected,
-      ",\"rejected_overload\":", c.rejected_overload,
-      ",\"rejected_quota\":", c.rejected_quota,
-      ",\"rejected_shutdown\":", c.rejected_shutdown,
-      ",\"rejected_degraded\":", c.rejected_degraded,
-      ",\"deadline_expired_in_queue\":", c.deadline_expired_in_queue,
-      ",\"protocol_errors\":", c.protocol_errors,
-      ",\"guard_trips\":", c.guard_trips,
-      ",\"dedup_hits\":", c.dedup_hits, "}");
+      "{\"server\":{\"queue_depth\":", queue_depth_gauge_->value(),
+      ",\"degraded\":", degraded_gauge_->value(),
+      ",\"connections_active\":", connections_gauge_->value());
+  AppendCounters(&out, kConnectionsTotal, kFeedFetches);
   const sub::ManagerStats s = subs_.Stats();
   out += StrCat(
-      ",\"sub\":{\"registered_total\":", s.registered_total,
+      "},\"sub\":{\"registered_total\":", s.registered_total,
       ",\"active\":", s.active,
       ",\"queued_batches\":", s.queued_batches,
       ",\"commits_observed\":", s.commits_observed,
@@ -212,9 +237,9 @@ std::string Server::StatsJson() const {
     out += StrCat(
         ",\"repl\":{\"role\":\"primary\"",
         ",\"last_durable_seq\":", p.last_seq,
-        ",\"settled_seq\":", persistence->settled_seq(),
-        ",\"feed_fetches\":", c.feed_fetches,
-        ",\"feed_records_shipped\":", c.feed_records_shipped, "}");
+        ",\"settled_seq\":", persistence->settled_seq());
+    AppendCounters(&out, kFeedFetches, kStaleRejections);
+    out += "}";
   } else if (options_.replica_status != nullptr) {
     const ReplicaInfo info = options_.replica_status->replica_status();
     out += StrCat(
@@ -222,12 +247,12 @@ std::string Server::StatsJson() const {
         ",\"applied_seq\":", info.applied_seq,
         ",\"primary_last_durable_seq\":", info.primary_last_durable_seq,
         ",\"lag\":", info.lag(),
-        ",\"bounded\":", info.bounded ? 1 : 0,
-        ",\"stale_rejections\":", c.stale_rejections,
-        ",\"rejected_replica_writes\":", c.rejected_replica_writes, "}");
+        ",\"bounded\":", info.bounded ? 1 : 0);
+    AppendCounters(&out, kStaleRejections, kCounterCount);
+    out += "}";
   }
-  if (metrics_ != nullptr) {
-    out += StrCat(",\"metrics\":", metrics_->ToJson());
+  if (options_.obs.metrics != nullptr) {
+    out += StrCat(",\"metrics\":", options_.obs.metrics->ToJson());
   }
   out += "}";
   return out;
@@ -249,7 +274,6 @@ void Server::AcceptLoop() {
     auto conn = std::make_shared<ConnState>();
     conn->conn = std::move(*accepted);
     bool over_limit = false;
-    size_t active = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (stopping_) {
@@ -257,19 +281,19 @@ void Server::AcceptLoop() {
         return;
       }
       if (connections_.size() >= options_.max_connections) {
-        ++counters_.connections_rejected;
         over_limit = true;
       } else {
-        ++counters_.connections_total;
+        // Counted before the reader starts, so no reply can precede it.
+        Count(kConnectionsTotal);
         conn->owner = next_owner_++;
         owners_[conn->owner] = conn;
         connections_.push_back(conn);
-        active = connections_.size();
+        connections_gauge_->Set(static_cast<int64_t>(connections_.size()));
         conn->reader = std::thread(&Server::ConnectionLoop, this, conn);
       }
     }
     if (over_limit) {
-      obs::MetricsRegistry::Add(metrics_, "server.connections_rejected");
+      Count(kConnectionsRejected);
       // Turned away before any request is read; the error frame uses
       // request id 0 (no request to correlate with). Written with mu_
       // released — a peer that never drains its socket blocks only this
@@ -280,11 +304,7 @@ void Server::AcceptLoop() {
       std::string payload = EncodeErrorReply(reply);
       (void)WriteFrame(conn->conn.get(), FrameType::kError, 0, payload);
       conn->conn->Close();
-      continue;
     }
-    obs::MetricsRegistry::Add(metrics_, "server.connections_total");
-    obs::MetricsRegistry::Set(metrics_, "server.connections_active",
-                              static_cast<int64_t>(active));
   }
 }
 
@@ -295,11 +315,7 @@ void Server::ConnectionLoop(std::shared_ptr<ConnState> conn) {
     if (!read.ok()) {
       // Malformed framing is answered (best effort) before hanging up: the
       // peer is told *why* instead of seeing a bare reset.
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++counters_.protocol_errors;
-      }
-      obs::MetricsRegistry::Add(metrics_, "server.protocol_errors");
+      Count(kProtocolErrors);
       SendError(conn, 0, read.status());
       break;
     }
@@ -316,8 +332,7 @@ void Server::ConnectionLoop(std::shared_ptr<ConnState> conn) {
     connections_.erase(
         std::remove(connections_.begin(), connections_.end(), conn),
         connections_.end());
-    obs::MetricsRegistry::Set(metrics_, "server.connections_active",
-                              static_cast<int64_t>(connections_.size()));
+    connections_gauge_->Set(static_cast<int64_t>(connections_.size()));
     // Hand our own thread handle to the reaper (a thread cannot join
     // itself); pushing is this loop's final act, so the eventual join
     // returns as soon as this function does.
@@ -339,14 +354,7 @@ void Server::ReapRetiredConnections() {
 bool Server::Dispatch(const std::shared_ptr<ConnState>& conn,
                       const OwnedFrame& frame) {
   if (!IsRequestType(frame.type)) {
-    // Counter bump in a narrow scope only: SendError blocks on the peer's
-    // socket, and a peer that never drains must not wedge mu_ (and with it
-    // the writer loop, admissions, and Stop) behind its write.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++counters_.protocol_errors;
-    }
-    obs::MetricsRegistry::Add(metrics_, "server.protocol_errors");
+    Count(kProtocolErrors);
     SendError(conn, frame.request_id,
               InvalidArgumentError(StrCat(
                   "frame type ", static_cast<int>(frame.type),
@@ -391,11 +399,7 @@ bool Server::Dispatch(const std::shared_ptr<ConnState>& conn,
         }
       }
       if (!decoded.ok()) {
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++counters_.protocol_errors;
-        }
-        obs::MetricsRegistry::Add(metrics_, "server.protocol_errors");
+        Count(kProtocolErrors);
         SendError(conn, frame.request_id, decoded);
         return true;
       }
@@ -404,11 +408,7 @@ bool Server::Dispatch(const std::shared_ptr<ConnState>& conn,
         // facade's replica gate would produce, plus the non-retryable hint
         // for tokened clients — retrying here can never succeed, the write
         // belongs on the primary.
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++counters_.rejected_replica_writes;
-        }
-        obs::MetricsRegistry::Add(metrics_, "server.rejected_replica_writes");
+        Count(kRejectedReplicaWrites);
         SendWriteError(conn, frame.request_id,
                        FailedPreconditionError(
                            "read-only replica: writes belong on the primary"),
@@ -442,11 +442,7 @@ bool Server::Dispatch(const std::shared_ptr<ConnState>& conn,
       return true;
     case FrameType::kCheckpoint: {
       if (options_.replica_status != nullptr) {
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++counters_.rejected_replica_writes;
-        }
-        obs::MetricsRegistry::Add(metrics_, "server.rejected_replica_writes");
+        Count(kRejectedReplicaWrites);
         SendError(conn, frame.request_id,
                   FailedPreconditionError(
                       "read-only replica: writes belong on the primary"));
@@ -454,11 +450,7 @@ bool Server::Dispatch(const std::shared_ptr<ConnState>& conn,
       }
       Result<Admission> admission = DecodeAdmissionOnly(frame.payload);
       if (!admission.ok()) {
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++counters_.protocol_errors;
-        }
-        obs::MetricsRegistry::Add(metrics_, "server.protocol_errors");
+        Count(kProtocolErrors);
         SendError(conn, frame.request_id, admission.status());
         return true;
       }
@@ -523,18 +515,10 @@ Result<const ResourceGuard*> Server::PinSession(
 
 void Server::ServeQuery(const std::shared_ptr<ConnState>& conn, uint64_t id,
                         std::string_view payload) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.requests_read;
-  }
-  obs::MetricsRegistry::Add(metrics_, "server.requests_read");
+  Count(kRequestsRead);
   Result<QueryRequest> request = DecodeQueryRequest(payload, &db_->symbols());
   if (!request.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++counters_.protocol_errors;
-    }
-    obs::MetricsRegistry::Add(metrics_, "server.protocol_errors");
+    Count(kProtocolErrors);
     SendError(conn, id, request.status());
     return;
   }
@@ -548,11 +532,7 @@ void Server::ServeQuery(const std::shared_ptr<ConnState>& conn, uint64_t id,
       // dead feed) means a typed, retryable rejection — the client backs
       // off and retries here, or falls over to a fresher server. Sending
       // max_staleness opted the client into the hint extension.
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++counters_.stale_rejections;
-      }
-      obs::MetricsRegistry::Add(metrics_, "server.stale_rejections");
+      Count(kStaleRejections);
       SendWriteError(
           conn, id,
           UnavailableError(
@@ -616,19 +596,11 @@ void Server::ServeQuery(const std::shared_ptr<ConnState>& conn, uint64_t id,
 
 void Server::ServeTranslate(const std::shared_ptr<ConnState>& conn,
                             uint64_t id, std::string_view payload) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.requests_read;
-  }
-  obs::MetricsRegistry::Add(metrics_, "server.requests_read");
+  Count(kRequestsRead);
   Result<TranslateRequest> request =
       DecodeTranslateRequest(payload, &db_->symbols());
   if (!request.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++counters_.protocol_errors;
-    }
-    obs::MetricsRegistry::Add(metrics_, "server.protocol_errors");
+    Count(kProtocolErrors);
     SendError(conn, id, request.status());
     return;
   }
@@ -666,18 +638,10 @@ void Server::ServeTranslate(const std::shared_ptr<ConnState>& conn,
 
 void Server::ServeStats(const std::shared_ptr<ConnState>& conn, uint64_t id,
                         std::string_view payload) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.requests_read;
-  }
-  obs::MetricsRegistry::Add(metrics_, "server.requests_read");
+  Count(kRequestsRead);
   Result<Admission> admission = DecodeAdmissionOnly(payload);
   if (!admission.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++counters_.protocol_errors;
-    }
-    obs::MetricsRegistry::Add(metrics_, "server.protocol_errors");
+    Count(kProtocolErrors);
     SendError(conn, id, admission.status());
     return;
   }
@@ -688,18 +652,10 @@ void Server::ServeStats(const std::shared_ptr<ConnState>& conn, uint64_t id,
 
 void Server::ServeHealth(const std::shared_ptr<ConnState>& conn, uint64_t id,
                          std::string_view payload) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.requests_read;
-  }
-  obs::MetricsRegistry::Add(metrics_, "server.requests_read");
+  Count(kRequestsRead);
   Result<HealthRequest> request = DecodeHealthRequest(payload);
   if (!request.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++counters_.protocol_errors;
-    }
-    obs::MetricsRegistry::Add(metrics_, "server.protocol_errors");
+    Count(kProtocolErrors);
     SendError(conn, id, request.status());
     return;
   }
@@ -741,19 +697,11 @@ void Server::ServeHealth(const std::shared_ptr<ConnState>& conn, uint64_t id,
 
 void Server::ServeSubscribe(const std::shared_ptr<ConnState>& conn,
                             uint64_t id, std::string_view payload) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.requests_read;
-  }
-  obs::MetricsRegistry::Add(metrics_, "server.requests_read");
+  Count(kRequestsRead);
   Result<SubscribeRequest> request =
       DecodeSubscribeRequest(payload, &db_->symbols());
   if (!request.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++counters_.protocol_errors;
-    }
-    obs::MetricsRegistry::Add(metrics_, "server.protocol_errors");
+    Count(kProtocolErrors);
     SendError(conn, id, request.status());
     return;
   }
@@ -849,18 +797,10 @@ void Server::ServeSubscribe(const std::shared_ptr<ConnState>& conn,
 
 void Server::ServeUnsubscribe(const std::shared_ptr<ConnState>& conn,
                               uint64_t id, std::string_view payload) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.requests_read;
-  }
-  obs::MetricsRegistry::Add(metrics_, "server.requests_read");
+  Count(kRequestsRead);
   Result<UnsubscribeRequest> request = DecodeUnsubscribeRequest(payload);
   if (!request.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++counters_.protocol_errors;
-    }
-    obs::MetricsRegistry::Add(metrics_, "server.protocol_errors");
+    Count(kProtocolErrors);
     SendError(conn, id, request.status());
     return;
   }
@@ -914,18 +854,10 @@ void Server::PusherLoop() {
 void Server::ServeWalFetch(const std::shared_ptr<ConnState>& conn,
                            uint64_t id, std::string_view payload,
                            bool long_poll) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.requests_read;
-  }
-  obs::MetricsRegistry::Add(metrics_, "server.requests_read");
+  Count(kRequestsRead);
   Result<WalFetchRequest> request = DecodeWalFetchRequest(payload);
   if (!request.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++counters_.protocol_errors;
-    }
-    obs::MetricsRegistry::Add(metrics_, "server.protocol_errors");
+    Count(kProtocolErrors);
     SendError(conn, id, request.status());
     return;
   }
@@ -981,14 +913,8 @@ void Server::ServeWalFetch(const std::shared_ptr<ConnState>& conn,
     reply.records.push_back(
         WalRecordsReply::Record{record.crc, std::move(record.payload)});
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.feed_fetches;
-    counters_.feed_records_shipped += reply.records.size();
-  }
-  obs::MetricsRegistry::Add(metrics_, "server.feed_fetches");
-  obs::MetricsRegistry::Add(metrics_, "server.feed_records_shipped",
-                            reply.records.size());
+  Count(kFeedFetches);
+  Count(kFeedRecordsShipped, reply.records.size());
   SendReply(conn, id,
             long_poll ? FrameType::kWalSubscribeOk : FrameType::kWalRecords,
             EncodeWalRecordsReply(reply));
@@ -1003,59 +929,45 @@ void Server::EnqueueWrite(const std::shared_ptr<ConnState>& conn,
     job.has_deadline = true;
     job.deadline_at = job.admitted_at + std::chrono::milliseconds(deadline_ms);
   }
-  // The rejection kind travels as its own enum (not parsed back out of the
-  // status text) so rewording a message can never misclassify the metric.
-  enum class Reject { kNone, kShutdown, kDegraded, kQuota, kOverload };
-  Reject reject = Reject::kNone;
+  Count(kRequestsWrite);
+  // The rejection kind is the counter it bumps (never parsed back out of the
+  // status text), so rewording a message cannot misclassify the metric.
+  CounterId rejected = kCounterCount;
   Status rejection;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.requests_write;
     if (stopping_) {
-      ++counters_.rejected_shutdown;
-      reject = Reject::kShutdown;
+      rejected = kRejectedShutdown;
       rejection = FailedPreconditionError("server shutting down");
     } else if (degraded_) {
-      ++counters_.rejected_degraded;
-      reject = Reject::kDegraded;
+      rejected = kRejectedDegraded;
       rejection = UnavailableError(
           "server is read-only: commit durability failed; reads keep "
           "serving, writes require reopening the database");
     } else if (conn->pending_writes >=
                options_.max_pending_writes_per_connection) {
-      ++counters_.rejected_quota;
-      reject = Reject::kQuota;
+      rejected = kRejectedQuota;
       rejection = ResourceExhaustedError(
           StrCat("per-connection write quota of ",
                  options_.max_pending_writes_per_connection, " exceeded"));
     } else if (write_queue_.size() >= options_.write_queue_depth) {
-      ++counters_.rejected_overload;
-      reject = Reject::kOverload;
+      rejected = kRejectedOverload;
       rejection = ResourceExhaustedError(
           StrCat("server overloaded: write queue full at ",
                  options_.write_queue_depth));
     } else {
       ++conn->pending_writes;
       write_queue_.push_back(std::move(job));
-      obs::MetricsRegistry::Set(
-          metrics_, "server.queue_depth",
+      queue_depth_gauge_->Set(
           static_cast<int64_t>(write_queue_.size() + writes_in_flight_));
     }
   }
-  obs::MetricsRegistry::Add(metrics_, "server.requests_write");
-  if (reject != Reject::kNone) {
-    const char* metric = "server.rejected_overload";
-    switch (reject) {
-      case Reject::kShutdown: metric = "server.rejected_shutdown"; break;
-      case Reject::kDegraded: metric = "server.rejected_degraded"; break;
-      case Reject::kQuota: metric = "server.rejected_quota"; break;
-      default: break;
-    }
-    obs::MetricsRegistry::Add(metrics_, metric);
+  if (rejected != kCounterCount) {
+    Count(rejected);
     // Quota and overload are transient (capacity frees up); degradation and
     // shutdown are not — this process will never admit the write again.
     const bool retryable =
-        reject == Reject::kQuota || reject == Reject::kOverload;
+        rejected == kRejectedQuota || rejected == kRejectedOverload;
     SendWriteError(conn, job.request_id, rejection, job.token.present(),
                    retryable);
     return;
@@ -1077,23 +989,18 @@ void Server::WriterLoop() {
       job = std::move(write_queue_.front());
       write_queue_.pop_front();
       writes_in_flight_ = 1;
-      obs::MetricsRegistry::Set(
-          metrics_, "server.queue_depth",
+      queue_depth_gauge_->Set(
           static_cast<int64_t>(write_queue_.size() + writes_in_flight_));
     }
     const Clock::time_point start = Clock::now();
     obs::MetricsRegistry::Observe(
-        metrics_, "server.queue_wait_us",
+        options_.obs.metrics, "server.queue_wait_us",
         std::chrono::duration_cast<std::chrono::microseconds>(
             start - job.admitted_at)
             .count());
     if (options_.writer_stall_for_test) options_.writer_stall_for_test();
     if (job.has_deadline && Clock::now() >= job.deadline_at) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++counters_.deadline_expired_in_queue;
-      }
-      obs::MetricsRegistry::Add(metrics_, "server.deadline_expired_in_queue");
+      Count(kDeadlineExpiredInQueue);
       // Not retryable: the deadline was the client's whole budget for this
       // request, and it is spent.
       SendWriteError(job.conn, job.request_id,
@@ -1112,7 +1019,7 @@ void Server::WriterLoop() {
       writer_guard_.Restart(LimitsFor(job.admission, remaining));
       ExecuteWrite(job);
       obs::MetricsRegistry::Observe(
-          metrics_, "server.write_exec_us",
+          options_.obs.metrics, "server.write_exec_us",
           std::chrono::duration_cast<std::chrono::microseconds>(
               Clock::now() - start)
               .count());
@@ -1121,9 +1028,7 @@ void Server::WriterLoop() {
       std::lock_guard<std::mutex> lock(mu_);
       writes_in_flight_ = 0;
       if (job.conn->pending_writes > 0) --job.conn->pending_writes;
-      obs::MetricsRegistry::Set(
-          metrics_, "server.queue_depth",
-          static_cast<int64_t>(write_queue_.size()));
+      queue_depth_gauge_->Set(static_cast<int64_t>(write_queue_.size()));
       drained_cv_.notify_all();
     }
     // Wake feed long-polls: the write may have settled new records. The
@@ -1146,11 +1051,7 @@ bool Server::CheckDedup(const WriteJob& job) {
       // A retry of a write that already committed: answer with the original
       // reply (the version its commit produced), never a second apply —
       // this is the exactly-once half the client's retry loop relies on.
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++counters_.dedup_hits;
-      }
-      obs::MetricsRegistry::Add(metrics_, "server.dedup_hits");
+      Count(kDedupHits);
       if (job.kind == WriteJob::Kind::kApply) {
         ApplyReply reply{dedup.version};
         SendReply(job.conn, job.request_id, FrameType::kApplyOk,
@@ -1185,21 +1086,13 @@ void Server::ExecuteWrite(const WriteJob& job) {
       if (CheckDedup(job)) return;
       Status applied = db_->Apply(job.transaction, job.token);
       if (!applied.ok()) {
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++counters_.writes_rejected;
-        }
-        obs::MetricsRegistry::Add(metrics_, "server.writes_rejected");
+        Count(kWritesRejected);
         NoteCommitHealth();
         SendWriteError(job.conn, job.request_id, applied,
                        job.token.present(), /*retryable=*/false);
         return;
       }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++counters_.writes_applied;
-      }
-      obs::MetricsRegistry::Add(metrics_, "server.writes_applied");
+      Count(kWritesApplied);
       ApplyReply reply{db_->version()};
       SendReply(job.conn, job.request_id, FrameType::kApplyOk,
                 EncodeApplyReply(reply));
@@ -1212,11 +1105,7 @@ void Server::ExecuteWrite(const WriteJob& job) {
       Result<UpdateProcessor::TransactionReport> report =
           processor.ProcessTransaction(job.transaction);
       if (!report.ok()) {
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++counters_.writes_rejected;
-        }
-        obs::MetricsRegistry::Add(metrics_, "server.writes_rejected");
+        Count(kWritesRejected);
         NoteCommitHealth();
         SendWriteError(job.conn, job.request_id, report.status(),
                        job.token.present(), /*retryable=*/false);
@@ -1227,17 +1116,9 @@ void Server::ExecuteWrite(const WriteJob& job) {
       reply.accepted = report->accepted;
       if (!report->accepted) {
         reply.detail = report->ToString(db_->symbols());
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++counters_.writes_rejected;
-        }
-        obs::MetricsRegistry::Add(metrics_, "server.writes_rejected");
+        Count(kWritesRejected);
       } else {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++counters_.writes_applied;
-      }
-      if (report->accepted) {
-        obs::MetricsRegistry::Add(metrics_, "server.writes_applied");
+        Count(kWritesApplied);
       }
       SendReply(job.conn, job.request_id, FrameType::kProcessOk,
                 EncodeProcessReply(reply));
@@ -1262,27 +1143,15 @@ void Server::ExecuteWrite(const WriteJob& job) {
 
 void Server::NoteCommitHealth() {
   if (db_->commit_health().ok()) return;
-  bool entered = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!degraded_) {
-      degraded_ = true;
-      entered = true;
-    }
-  }
-  if (entered) {
-    obs::MetricsRegistry::Set(metrics_, "server.degraded", 1);
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  degraded_ = true;
+  degraded_gauge_->Set(1);
 }
 
 void Server::SendError(const std::shared_ptr<ConnState>& conn, uint64_t id,
                        const Status& status) {
   if (IsGuardTrip(status.code())) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++counters_.guard_trips;
-    }
-    obs::MetricsRegistry::Add(metrics_, "server.guard_trips");
+    Count(kGuardTrips);
   }
   ErrorReply reply{status.code(), status.message()};
   SendReply(conn, id, FrameType::kError, EncodeErrorReply(reply));
@@ -1297,11 +1166,7 @@ void Server::SendWriteError(const std::shared_ptr<ConnState>& conn,
     return;
   }
   if (IsGuardTrip(status.code())) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++counters_.guard_trips;
-    }
-    obs::MetricsRegistry::Add(metrics_, "server.guard_trips");
+    Count(kGuardTrips);
   }
   ErrorReply reply{status.code(), status.message()};
   reply.set_retryable(retryable);

@@ -1,6 +1,7 @@
 #ifndef DEDDB_SERVER_SERVER_H_
 #define DEDDB_SERVER_SERVER_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -10,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -102,7 +104,9 @@ struct ServerOptions {
   uint32_t feed_max_bytes = 1u << 20;
 
   /// Metrics/tracing sink for the server.* series (queue depth, rejections,
-  /// latencies). Nullable, like every obs hookup.
+  /// latencies). Nullable, like every obs hookup: without a registry the
+  /// server counts into one of its own, and the Stats reply gains the
+  /// "metrics" section only when one is attached here.
   obs::ObsContext obs;
 
   /// Test seam: runs on the writer thread before each dequeued write
@@ -169,9 +173,9 @@ class Server {
   size_t queue_depth() const;
   size_t active_connections() const;
 
-  /// {"server":{...counters...}} — also the payload of a Stats reply,
-  /// where it additionally embeds the MetricsRegistry snapshot if one is
-  /// attached.
+  /// {"server":{...},"sub":{...},"repl":{...}}, rendered from the registry
+  /// handles — also the payload of a Stats reply. Embeds the
+  /// MetricsRegistry snapshot as "metrics" if one is attached.
   std::string StatsJson() const;
 
  private:
@@ -249,9 +253,48 @@ class Server {
   void SendReply(const std::shared_ptr<ConnState>& conn, uint64_t id,
                  FrameType type, std::string_view payload);
 
+  /// Server counters, in the order the Stats JSON renders them: the
+  /// "server" block, then the "repl" block's primary pair and replica pair.
+  /// kCounterNames (server.cc) gives each its JSON key and metric name.
+  enum CounterId : size_t {
+    kConnectionsTotal,
+    kConnectionsRejected,
+    kRequestsRead,
+    kRequestsWrite,
+    kWritesApplied,
+    kWritesRejected,  // validation/integrity failures
+    kRejectedOverload,
+    kRejectedQuota,
+    kRejectedShutdown,
+    kRejectedDegraded,  // writes refused in read-only mode
+    kDeadlineExpiredInQueue,
+    kProtocolErrors,
+    kGuardTrips,  // typed kDeadline/kBudget/kCancelled replies
+    kDedupHits,   // retried committed writes answered from the idempotency
+                  // table (original reply, no second apply)
+    kFeedFetches,            // kWalFetch/kWalSubscribe served
+    kFeedRecordsShipped,     // WAL records sent to replicas
+    kStaleRejections,        // max_staleness reads turned away
+    kRejectedReplicaWrites,  // writes refused on a replica
+    kCounterCount
+  };
+  void Count(CounterId id, uint64_t delta = 1) {
+    counter_handles_[id]->Add(delta);
+  }
+  /// Appends `,"key":value` for the counters [first, last).
+  void AppendCounters(std::string* out, CounterId first, CounterId last) const;
+
   DeductiveDatabase* db_;
   ServerOptions options_;
-  obs::MetricsRegistry* metrics_;  // options_.obs.metrics, may be null
+  /// The registry every server.* and sub.* series lives in:
+  /// options_.obs.metrics when attached, else owned_metrics_.
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  obs::MetricsRegistry* metrics_;
+  std::array<obs::Counter*, kCounterCount> counter_handles_{};
+  // Gauges, set under mu_ wherever the state they mirror changes.
+  obs::Gauge* queue_depth_gauge_ = nullptr;
+  obs::Gauge* connections_gauge_ = nullptr;
+  obs::Gauge* degraded_gauge_ = nullptr;
 
   /// The CDC registry (DESIGN.md §11): installed on the facade as its
   /// commit observer for the lifetime of the server and drained by the
@@ -302,31 +345,6 @@ class Server {
   std::mutex repl_mu_;
   std::condition_variable repl_cv_;
   std::atomic<bool> repl_stop_{false};
-
-  // Monotonic counters behind mu_; mirrored into the metrics registry and
-  // the Stats frame.
-  struct Counters {
-    uint64_t connections_total = 0;
-    uint64_t connections_rejected = 0;
-    uint64_t requests_read = 0;
-    uint64_t requests_write = 0;
-    uint64_t writes_applied = 0;
-    uint64_t writes_rejected = 0;   // validation/integrity failures
-    uint64_t rejected_overload = 0;
-    uint64_t rejected_quota = 0;
-    uint64_t rejected_shutdown = 0;
-    uint64_t rejected_degraded = 0;  // writes refused in read-only mode
-    uint64_t deadline_expired_in_queue = 0;
-    uint64_t protocol_errors = 0;
-    uint64_t guard_trips = 0;  // typed kDeadline/kBudget/kCancelled replies
-    uint64_t dedup_hits = 0;   // retried committed writes answered from the
-                               // idempotency table (original reply, no
-                               // second apply)
-    uint64_t feed_fetches = 0;          // kWalFetch/kWalSubscribe served
-    uint64_t feed_records_shipped = 0;  // WAL records sent to replicas
-    uint64_t stale_rejections = 0;      // max_staleness reads turned away
-    uint64_t rejected_replica_writes = 0;  // writes refused on a replica
-  } counters_;
 };
 
 }  // namespace deddb::server

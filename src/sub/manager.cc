@@ -2,19 +2,59 @@
 
 #include <algorithm>
 #include <limits>
-#include <string>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/fact_store.h"
+#include "util/strings.h"
 
 namespace deddb::sub {
+
+namespace {
+
+// One row per SubscriptionManager::CounterId, in enum order: the
+// ManagerStats field the counter fills and its registry name.
+struct CounterRow {
+  uint64_t ManagerStats::*field;
+  const char* metric;
+};
+constexpr CounterRow kCounterRows[] = {
+    {&ManagerStats::registered_total, "sub.registered"},
+    {&ManagerStats::commits_observed, "sub.commits_observed"},
+    {&ManagerStats::deltas_queued, "sub.deltas_queued"},
+    {&ManagerStats::deltas_pushed, "sub.deltas_pushed"},
+    {&ManagerStats::deltas_coalesced, "sub.deltas_coalesced"},
+    {&ManagerStats::gap_events, "sub.gap_events"},
+    {&ManagerStats::barriers, "sub.barriers"},
+    {&ManagerStats::resume_hits, "sub.resume_hits"},
+    {&ManagerStats::resume_misses, "sub.resume_misses"},
+};
+
+}  // namespace
 
 SubscriptionManager::SubscriptionManager() : SubscriptionManager(Options{}) {}
 
 SubscriptionManager::SubscriptionManager(Options options)
-    : options_(std::move(options)) {}
+    : options_(std::move(options)) {
+  obs::MetricsRegistry* metrics = options_.obs.metrics;
+  if (metrics == nullptr) {
+    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
+    metrics = owned_metrics_.get();
+  }
+  static_assert(std::size(kCounterRows) == kCounterCount);
+  for (size_t i = 0; i < kCounterCount; ++i) {
+    counter_handles_[i] = metrics->GetCounter(kCounterRows[i].metric);
+  }
+  for (size_t i = 0; i < policy_handles_.size(); ++i) {
+    policy_handles_[i] = metrics->GetCounter(StrCat(
+        "sub.policy_", OverflowPolicyName(static_cast<OverflowPolicy>(i))));
+  }
+  for (size_t i = 0; i < gap_handles_.size(); ++i) {
+    gap_handles_[i] = metrics->GetCounter(
+        StrCat("sub.gap_", GapReasonName(static_cast<GapReason>(i))));
+  }
+  active_gauge_ = metrics->GetGauge("sub.active");
+}
 
 bool SubscriptionManager::active() const {
   return armed_.load(std::memory_order_relaxed);
@@ -45,8 +85,7 @@ void SubscriptionManager::OnCommit(uint64_t version,
   std::lock_guard<std::mutex> lock(mu_);
   latest_version_ = version;
   commit_open_ = false;
-  ++stats_.commits_observed;
-  obs::MetricsRegistry::Add(options_.obs.metrics, "sub.commits_observed");
+  Count(kCommitsObserved);
   // Retain the commit for resume-from-version. `covered` is the wanted set
   // the facade actually computed induced events for this commit — a sub
   // registered mid-commit is not covered yet, and a derived resume across
@@ -91,8 +130,7 @@ void SubscriptionManager::OnBarrier(uint64_t version) {
   latest_version_ = version;
   commit_open_ = false;
   last_barrier_version_ = version;
-  ++stats_.barriers;
-  obs::MetricsRegistry::Add(options_.obs.metrics, "sub.barriers");
+  Count(kBarriers);
   for (auto& [id, sub] : subs_) {
     if (sub.state == SubState::kDone || sub.state == SubState::kGapped ||
         sub.gap_queued) {
@@ -118,11 +156,8 @@ uint64_t SubscriptionManager::Register(const SubscriptionSpec& spec,
   if (sub.spec.max_queued == 0) sub.spec.max_queued = 64;
   if (commit_open_) sub.mid_commit_seq = commit_seq_;
   subs_.emplace(id, std::move(sub));
-  ++stats_.registered_total;
-  obs::MetricsRegistry::Add(options_.obs.metrics, "sub.registered");
-  obs::MetricsRegistry::Add(
-      options_.obs.metrics,
-      std::string("sub.policy_") + OverflowPolicyName(spec.policy));
+  Count(kRegistered);
+  policy_handles_[static_cast<size_t>(spec.policy)]->Add();
   return id;
 }
 
@@ -133,8 +168,7 @@ bool SubscriptionManager::TryStageResume(uint64_t sub_id,
   if (it == subs_.end()) return false;
   Subscription& sub = it->second;
   const auto miss = [&] {
-    ++stats_.resume_misses;
-    obs::MetricsRegistry::Add(options_.obs.metrics, "sub.resume_misses");
+    Count(kResumeMisses);
     return false;
   };
   if (sub.state != SubState::kPending || sub.gap_queued) return miss();
@@ -173,9 +207,8 @@ bool SubscriptionManager::TryStageResume(uint64_t sub_id,
   for (auto rit = replay.rbegin(); rit != replay.rend(); ++rit) {
     sub.queue.push_front(std::move(*rit));
   }
-  stats_.deltas_queued += replay.size();
-  ++stats_.resume_hits;
-  obs::MetricsRegistry::Add(options_.obs.metrics, "sub.resume_hits");
+  Count(kDeltasQueued, replay.size());
+  Count(kResumeHits);
   return true;
 }
 
@@ -195,20 +228,16 @@ void SubscriptionManager::Activate(uint64_t sub_id, uint64_t snapshot_version) {
     MarkReadyLocked(&sub);
   } else {
     sub.state = SubState::kActive;
+    AddActiveLocked(1);
     if (!sub.queue.empty()) MarkReadyLocked(&sub);
   }
-  obs::MetricsRegistry::Set(
-      options_.obs.metrics, "sub.active",
-      static_cast<int64_t>(std::count_if(
-          subs_.begin(), subs_.end(), [](const auto& entry) {
-            return entry.second.state == SubState::kActive;
-          })));
 }
 
 bool SubscriptionManager::Cancel(uint64_t sub_id, uint64_t owner) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = subs_.find(sub_id);
   if (it == subs_.end() || it->second.owner != owner) return false;
+  if (it->second.state == SubState::kActive) AddActiveLocked(-1);
   subs_.erase(it);  // stale ready_ entries are skipped by WaitPop
   return true;
 }
@@ -218,6 +247,7 @@ size_t SubscriptionManager::CancelOwner(uint64_t owner) {
   size_t cancelled = 0;
   for (auto it = subs_.begin(); it != subs_.end();) {
     if (it->second.owner == owner) {
+      if (it->second.state == SubState::kActive) AddActiveLocked(-1);
       it = subs_.erase(it);
       ++cancelled;
     } else {
@@ -263,8 +293,7 @@ std::optional<PushItem> SubscriptionManager::WaitPop() {
     item.batch = std::move(sub.queue.front());
     item.version = item.batch.version;
     sub.queue.pop_front();
-    ++stats_.deltas_pushed;
-    obs::MetricsRegistry::Add(options_.obs.metrics, "sub.deltas_pushed");
+    Count(kDeltasPushed);
     if (!sub.queue.empty()) MarkReadyLocked(&sub);
     return item;
   }
@@ -278,11 +307,12 @@ void SubscriptionManager::Shutdown() {
 
 ManagerStats SubscriptionManager::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  ManagerStats out = stats_;
-  for (const auto& [id, sub] : subs_) {
-    if (sub.state == SubState::kActive) ++out.active;
-    out.queued_batches += sub.queue.size();
+  ManagerStats out;
+  for (size_t i = 0; i < kCounterCount; ++i) {
+    out.*kCounterRows[i].field = counter_handles_[i]->value();
   }
+  out.active = static_cast<uint64_t>(active_);
+  for (const auto& [id, sub] : subs_) out.queued_batches += sub.queue.size();
   return out;
 }
 
@@ -317,8 +347,7 @@ void SubscriptionManager::EnqueueLocked(Subscription* sub, DeltaBatch batch) {
     if (sub->spec.policy == OverflowPolicy::kCoalesce && !sub->queue.empty()) {
       DeltaBatch merged = Coalesce(sub->queue.back(), batch);
       sub->queue.pop_back();
-      ++stats_.deltas_coalesced;
-      obs::MetricsRegistry::Add(options_.obs.metrics, "sub.deltas_coalesced");
+      Count(kDeltasCoalesced);
       // A net-empty merge disappears entirely: the subscriber's next batch
       // simply jumps versions.
       if (!merged.empty()) sub->queue.push_back(std::move(merged));
@@ -328,8 +357,7 @@ void SubscriptionManager::EnqueueLocked(Subscription* sub, DeltaBatch batch) {
     }
   } else {
     sub->queue.push_back(std::move(batch));
-    ++stats_.deltas_queued;
-    obs::MetricsRegistry::Add(options_.obs.metrics, "sub.deltas_queued");
+    Count(kDeltasQueued);
   }
   if (sub->state == SubState::kActive && !sub->queue.empty()) {
     MarkReadyLocked(sub);
@@ -342,14 +370,18 @@ void SubscriptionManager::GapLocked(Subscription* sub, GapReason reason,
   sub->gap_queued = true;
   sub->gap_reason = reason;
   sub->gap_version = version;
-  ++stats_.gap_events;
-  obs::MetricsRegistry::Add(options_.obs.metrics, "sub.gap_events");
-  obs::MetricsRegistry::Add(options_.obs.metrics,
-                            std::string("sub.gap_") + GapReasonName(reason));
+  Count(kGapEvents);
+  gap_handles_[static_cast<size_t>(reason)]->Add();
   if (sub->state == SubState::kActive) {
     sub->state = SubState::kGapped;
+    AddActiveLocked(-1);
     MarkReadyLocked(sub);
   }
+}
+
+void SubscriptionManager::AddActiveLocked(int delta) {
+  active_ += delta;
+  active_gauge_->Set(active_);
 }
 
 void SubscriptionManager::MarkReadyLocked(Subscription* sub) {

@@ -1,16 +1,19 @@
 #ifndef DEDDB_SUB_MANAGER_H_
 #define DEDDB_SUB_MANAGER_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <vector>
 
 #include "core/commit_observer.h"
+#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "storage/tuple.h"
 #include "sub/cdc.h"
@@ -45,7 +48,8 @@ struct PushItem {
   DeltaBatch batch;
 };
 
-/// Counters surfaced through StatsJson and the extended Health probe.
+/// Surfaced through StatsJson and the extended Health probe. Filled from
+/// the manager's sub.* registry counters plus two live counts.
 struct ManagerStats {
   uint64_t registered_total = 0;
   uint64_t active = 0;          // gauge
@@ -88,6 +92,8 @@ class SubscriptionManager : public CommitObserver {
     /// Commits retained for resume-from-version, counted from the first
     /// registration ever (the log arms itself and stays armed).
     size_t retain_window = 256;
+    /// The sub.* counters live in obs.metrics; when it is null the manager
+    /// records into a registry of its own.
     obs::ObsContext obs;
   };
 
@@ -182,6 +188,35 @@ class SubscriptionManager : public CommitObserver {
 
   const Options options_;
 
+  // ---- Metrics: one registry cell per counter ------------------------------
+  // ManagerStats counters, in the order of kCounterRows (manager.cc), which
+  // pairs each with its ManagerStats field and metric name.
+  enum CounterId : size_t {
+    kRegistered,
+    kCommitsObserved,
+    kDeltasQueued,
+    kDeltasPushed,
+    kDeltasCoalesced,
+    kGapEvents,
+    kBarriers,
+    kResumeHits,
+    kResumeMisses,
+    kCounterCount
+  };
+  void Count(CounterId id, uint64_t delta = 1) {
+    counter_handles_[id]->Add(delta);
+  }
+  /// Tracks a subscription entering (+1) or leaving (-1) kActive: the live
+  /// count behind Stats().active and the sub.active gauge. mu_ held.
+  void AddActiveLocked(int delta);
+
+  // The registry the handles point into when options_.obs.metrics is null.
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  std::array<obs::Counter*, kCounterCount> counter_handles_{};
+  std::array<obs::Counter*, 2> policy_handles_{};  // by OverflowPolicy
+  std::array<obs::Counter*, 4> gap_handles_{};     // by GapReason
+  obs::Gauge* active_gauge_ = nullptr;
+
   // Lock-free gate for the facade's per-commit active() probe: set by the
   // first Register() and never cleared, so a database that has never had a
   // subscriber pays one relaxed load per commit.
@@ -195,6 +230,7 @@ class SubscriptionManager : public CommitObserver {
   // Subscriptions with deliverable items, FIFO; ids are deduplicated via
   // Subscription::in_ready and re-appended after a pop while items remain.
   std::deque<uint64_t> ready_;
+  int64_t active_ = 0;  // subscriptions in kActive
 
   // ---- Retained CDC log (resume window) -----------------------------------
   // Armed by the first Register() and never disarmed: a resume must not
@@ -218,8 +254,6 @@ class SubscriptionManager : public CommitObserver {
   // induced events do not cover the new subscription).
   uint64_t commit_seq_ = 0;
   bool commit_open_ = false;
-
-  ManagerStats stats_;
 };
 
 }  // namespace deddb::sub

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "obs/explain.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -162,10 +167,64 @@ TEST(MetricsRegistryTest, ToJsonIsExact) {
             "{\"counters\":{\"c\":2},\"gauges\":{\"g\":-1},"
             "\"histograms\":{\"h\":{\"count\":1,\"sum\":5,\"min\":5,"
             "\"max\":5}}}");
-  metrics.Clear();
-  EXPECT_EQ(metrics.ToJson(),
+  const MetricsRegistry empty;
+  EXPECT_EQ(empty.ToJson(),
             "{\"counters\":{},\"gauges\":{},\"histograms\":{}}");
-  EXPECT_EQ(metrics.RenderText(), "");
+  EXPECT_EQ(empty.RenderText(), "");
+}
+
+TEST(MetricsRegistryTest, HandlesShareCellsAcrossThreads) {
+  MetricsRegistry metrics;
+  Counter* counter = metrics.GetCounter("c");
+  Gauge* gauge = metrics.GetGauge("g");
+  // A handle and the named methods reach one cell, and getting a handle
+  // twice returns the same one.
+  EXPECT_EQ(metrics.GetCounter("c"), counter);
+  EXPECT_EQ(metrics.ToJson(),
+            "{\"counters\":{\"c\":0},\"gauges\":{\"g\":0},"
+            "\"histograms\":{}}");
+  counter->Add(2);
+  metrics.Add("c", 3);
+  EXPECT_EQ(counter->value(), 5u);
+  EXPECT_EQ(metrics.counter("c"), 5u);
+  metrics.Set("g", 9);
+  EXPECT_EQ(gauge->value(), 9);
+  gauge->Set(-4);
+  EXPECT_EQ(metrics.gauge("g"), -4);
+
+  // Four writers bump handles (and register new names, moving the maps
+  // under the handles) while a fifth thread renders.
+  constexpr int kWriters = 4;
+  constexpr uint64_t kBumps = 20000;
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load()) {
+      EXPECT_FALSE(metrics.ToJson().empty());
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      Counter* own = metrics.GetCounter("w" + std::to_string(w));
+      for (uint64_t i = 0; i < kBumps; ++i) {
+        counter->Add();
+        own->Add();
+        if (i % 1000 == 0) {
+          metrics.Add("n" + std::to_string(w) + "." + std::to_string(i));
+          gauge->Set(static_cast<int64_t>(i));
+        }
+      }
+    });
+  }
+  for (std::thread& writer : writers) writer.join();
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(metrics.counter("c"), 5 + kWriters * kBumps);
+  for (int w = 0; w < kWriters; ++w) {
+    EXPECT_EQ(metrics.counter("w" + std::to_string(w)), kBumps);
+    EXPECT_EQ(metrics.counter("n" + std::to_string(w) + ".19000"), 1u);
+  }
+  EXPECT_EQ(gauge->value() % 1000, 0);
 }
 
 TEST(MetricsRegistryTest, NullablePointerHelpers) {

@@ -148,9 +148,12 @@ TEST(ServerAdmissionTest, OverloadAndQuotaRejectTyped) {
   // max_pending_writes_per_connection=2 is rejected even though the global
   // queue has room for... it does not here (queue is full), so test quota
   // on its own server below instead. Here, verify the overload metric
-  // moved.
-  EXPECT_NE(metrics.ToJson().find("server.rejected_overload"),
-            std::string::npos);
+  // moved: exactly one rejection among five admitted-or-bounced writes, and
+  // the depth gauge counts the parked write plus three queued.
+  EXPECT_EQ(metrics.counter("server.rejected_overload"), 1u);
+  EXPECT_EQ(metrics.counter("server.rejected_quota"), 0u);
+  EXPECT_EQ(metrics.counter("server.requests_write"), 5u);
+  EXPECT_EQ(metrics.gauge("server.queue_depth"), 4);
 
   // Release the writer: every admitted write completes and is acknowledged
   // with a distinct commit version (connection threads race to enqueue, so
@@ -292,8 +295,8 @@ TEST(ServerAdmissionTest, DeadlineExpiresMidQueueWithoutExecuting) {
       (*session)->Holds((*session)->GroundAtom("Q", {"late0"}).value());
   ASSERT_TRUE(holds.ok());
   EXPECT_FALSE(*holds);
-  EXPECT_NE(metrics.ToJson().find("server.deadline_expired_in_queue"),
-            std::string::npos);
+  EXPECT_EQ(metrics.counter("server.deadline_expired_in_queue"), 1u);
+  EXPECT_EQ(metrics.counter("server.writes_applied"), 1u);
 }
 
 TEST(ServerAdmissionTest, TypedGuardStatusesThroughTheReadPath) {
@@ -431,7 +434,7 @@ TEST(ServerAdmissionTest, QueueDepthMetricTracksAdmission) {
   while (server.queue_depth() < 2) std::this_thread::yield();
 
   // The gauge mirrors the live depth while stalled.
-  EXPECT_NE(metrics.ToJson().find("server.queue_depth"), std::string::npos);
+  EXPECT_EQ(metrics.gauge("server.queue_depth"), 2);
 
   latch.Open();
   for (int i = 0; i < 2; ++i) {
@@ -440,6 +443,7 @@ TEST(ServerAdmissionTest, QueueDepthMetricTracksAdmission) {
     EXPECT_EQ(frame->type, FrameType::kApplyOk);
   }
   EXPECT_EQ(server.queue_depth(), 0u);
+  EXPECT_EQ(metrics.gauge("server.queue_depth"), 0);
 
   // Stats over the wire: the snapshot includes the server counters.
   Result<StatsReply> stats = client.Stats();

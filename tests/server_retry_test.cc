@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/deductive_database.h"
+#include "obs/metrics.h"
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/server.h"
@@ -495,6 +496,90 @@ TEST(ServerRetryTest, ReopenRecoversTheDedupTableFromTheWal) {
   db.reset();
   std::string cmd = StrCat("rm -rf ", dir);
   ASSERT_EQ(std::system(cmd.c_str()), 0);
+}
+
+// Pins the Stats layout byte for byte: a fixed request script yields one
+// exact StatsJson string, and attaching a metrics registry changes nothing
+// in the server, sub and repl blocks — it only appends the "metrics"
+// section.
+TEST(ServerRetryTest, StatsLayoutIsPinnedByteForByte) {
+  const std::string expected =
+      "{\"server\":{\"queue_depth\":0,\"degraded\":0,"
+      "\"connections_active\":1,\"connections_total\":1,"
+      "\"connections_rejected\":0,\"requests_read\":3,\"requests_write\":2,"
+      "\"writes_applied\":1,\"writes_rejected\":0,\"rejected_overload\":0,"
+      "\"rejected_quota\":0,\"rejected_shutdown\":0,\"rejected_degraded\":0,"
+      "\"deadline_expired_in_queue\":0,\"protocol_errors\":1,"
+      "\"guard_trips\":0,\"dedup_hits\":1},"
+      "\"sub\":{\"registered_total\":1,\"active\":1,\"queued_batches\":0,"
+      "\"commits_observed\":0,\"deltas_queued\":0,\"deltas_pushed\":0,"
+      "\"deltas_coalesced\":0,\"gap_events\":0,\"barriers\":0,"
+      "\"resume_hits\":0,\"resume_misses\":0},"
+      "\"repl\":{\"role\":\"primary\",\"last_durable_seq\":1,"
+      "\"settled_seq\":1,\"feed_fetches\":0,\"feed_records_shipped\":0}}";
+  for (const bool with_registry : {false, true}) {
+    SCOPED_TRACE(with_registry ? "registry attached" : "no registry");
+    std::string tmpl = StrCat(::testing::TempDir(), "srvstatsXXXXXX");
+    std::vector<char> buf(tmpl.begin(), tmpl.end());
+    buf.push_back('\0');
+    ASSERT_NE(::mkdtemp(buf.data()), nullptr);
+    const std::string dir = buf.data();
+    auto opened = DeductiveDatabase::OpenPersistent(dir);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    std::unique_ptr<DeductiveDatabase> db = std::move(*opened);
+    ASSERT_TRUE(db->DeclareBase("Q", 1).ok());
+
+    obs::MetricsRegistry metrics;
+    ServerOptions options;
+    if (with_registry) options.obs.metrics = &metrics;
+    LoopbackNetwork network;
+    Server server(db.get(), options);
+    ASSERT_TRUE(server.Serve(network.TakeListener()).ok());
+    auto conn = network.Connect();
+    ASSERT_TRUE(conn.ok());
+    Client raw(std::move(*conn));
+
+    ASSERT_TRUE(raw.Query({raw.MakeAtom("Q", {raw.Variable("x")})}).ok());
+    // One tokened Apply and its byte-identical retry (a dedup hit).
+    ApplyRequest request;
+    ASSERT_TRUE(
+        request.transaction.AddInsert(raw.GroundAtom("Q", {"a"})).ok());
+    request.token.client_id = 11;
+    request.token.request_seq = 1;
+    const std::string payload = EncodeApplyRequest(request, raw.symbols());
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      ASSERT_TRUE(raw.SendRaw(FrameType::kApply, payload).ok());
+      Result<OwnedFrame> frame = raw.ReceiveRaw();
+      ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+      ASSERT_EQ(frame->type, FrameType::kApplyOk);
+    }
+    ASSERT_TRUE(raw.Subscribe(raw.MakeAtom("Q", {raw.Variable("x")})).ok());
+    // An undecodable Query payload: a typed error, the connection lives on.
+    // Its reply also orders after the subscription's activation, which runs
+    // on the same connection thread right after the SubscribeOk frame.
+    ASSERT_TRUE(raw.SendRaw(FrameType::kQuery, "\xff").ok());
+    Result<OwnedFrame> error = raw.ReceiveRaw();
+    ASSERT_TRUE(error.ok()) << error.status().ToString();
+    ASSERT_EQ(error->type, FrameType::kError);
+    // The writer releases its in-flight slot just after replying.
+    while (server.queue_depth() != 0) std::this_thread::yield();
+
+    std::string json = server.StatsJson();
+    if (with_registry) {
+      const size_t metrics_at = json.find(",\"metrics\":");
+      ASSERT_NE(metrics_at, std::string::npos) << json;
+      json = json.substr(0, metrics_at) + "}";
+    } else {
+      EXPECT_EQ(json.find("\"metrics\""), std::string::npos) << json;
+    }
+    EXPECT_EQ(json, expected);
+
+    server.Stop();
+    ASSERT_TRUE(db->Close().ok());
+    db.reset();
+    std::string cmd = StrCat("rm -rf ", dir);
+    ASSERT_EQ(std::system(cmd.c_str()), 0);
+  }
 }
 
 TEST(ServerRetryTest, HealthProbeOnAHealthyServer) {

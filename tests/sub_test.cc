@@ -16,6 +16,7 @@
 
 #include "core/deductive_database.h"
 #include "interp/derived_events.h"
+#include "obs/metrics.h"
 #include "parser/parser.h"
 #include "storage/transaction.h"
 #include "storage/tuple.h"
@@ -571,6 +572,33 @@ TEST_F(SubManagerTest, DerivedDeltaReadFromInducedEvents) {
   EXPECT_EQ(item->predicate, view);
   EXPECT_EQ(item->batch.inserts, (std::vector<Tuple>{{x}}));
   EXPECT_TRUE(item->batch.deletes.empty());
+}
+
+// Stats() and the registry are one set of books: a resume's replayed
+// batches count as queued in both, and cancelling subscriptions moves the
+// sub.active gauge as well as Stats().active.
+TEST_F(SubManagerTest, RegistryAgreesWithStats) {
+  obs::MetricsRegistry metrics;
+  SubscriptionManager mgr(
+      SubscriptionManager::Options{256, obs::ObsContext{nullptr, &metrics}});
+  const uint64_t first = mgr.Register(BaseSpec(), 1);
+  mgr.Activate(first, 0);
+  Commit(&mgr, 1, Txn({symbols_.Intern("a")}));
+  Commit(&mgr, 2, Txn({symbols_.Intern("b")}));
+  Commit(&mgr, 3, Txn({symbols_.Intern("c")}));
+  const uint64_t second = mgr.Register(BaseSpec(), 2);
+  ASSERT_TRUE(mgr.TryStageResume(second, /*from_version=*/1));
+  mgr.Activate(second, 1);
+  EXPECT_EQ(mgr.Stats().deltas_queued, 5u);
+  EXPECT_EQ(mgr.Stats().deltas_queued, metrics.counter("sub.deltas_queued"));
+  EXPECT_EQ(static_cast<int64_t>(mgr.Stats().active),
+            metrics.gauge("sub.active"));
+
+  ASSERT_TRUE(mgr.Cancel(first, 1));
+  EXPECT_EQ(mgr.CancelOwner(2), 1u);
+  EXPECT_EQ(mgr.Stats().active, 0u);
+  EXPECT_EQ(static_cast<int64_t>(mgr.Stats().active),
+            metrics.gauge("sub.active"));
 }
 
 TEST_F(SubManagerTest, CancelIsOwnerChecked) {

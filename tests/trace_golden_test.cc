@@ -281,8 +281,8 @@ TEST_F(PlanGoldenTest, Example53PlanAfterInsert) {
 }
 
 // The deterministic-id contract, directly: repeating an operation after
-// Tracer::Clear() reproduces the identical normalized tree and doubles every
-// counter without changing the metric name set.
+// Tracer::Clear(), recording into a fresh registry, reproduces the identical
+// normalized tree and metrics.
 TEST_F(TraceGoldenTest, RepeatedRunIsByteIdentical) {
   auto db = MakeEmploymentDb();
   Attach(db.get());
@@ -294,10 +294,11 @@ TEST_F(TraceGoldenTest, RepeatedRunIsByteIdentical) {
   const std::string first_metrics = metrics_.RenderText();
 
   tracer_.Clear();
-  metrics_.Clear();
+  obs::MetricsRegistry fresh;
+  db->set_observability(obs::ObsContext{&tracer_, &fresh});
   ASSERT_TRUE(db->TranslateViewUpdate(*request).ok());
   EXPECT_EQ(obs::RenderSpanTree(tracer_), first_tree);
-  EXPECT_EQ(metrics_.RenderText(), first_metrics);
+  EXPECT_EQ(fresh.RenderText(), first_metrics);
 }
 
 }  // namespace
