@@ -24,11 +24,15 @@ namespace deddb {
 ///      load per commit.
 ///   2. `WantedDerived()` names the derived (kOld) predicates whose induced
 ///      events the commit should compute. The facade then runs one upward
-///      pass scoped to exactly those goals against the OLD state — the
+///      pass against the OLD state — the commit's one pass, which also
+///      serves the materialized views and the constraints — using the
 ///      already-available ιP/δP machinery, not re-derivation.
 ///   3. `OnCommit(version, txn, derived)` fires after the mutation, with
 ///      the version the commit produced. `derived` may be empty (no induced
-///      change); base-predicate deltas are read straight off `txn`.
+///      change); base-predicate deltas are read straight off `txn`. A commit
+///      refused after step 2 (a rejected checked commit, a failed staging)
+///      calls neither OnCommit nor OnBarrier; the next commit's
+///      WantedDerived() supersedes it.
 ///
 /// `OnBarrier(version)` replaces OnCommit when the database changed in a
 /// way that has no incremental delta: a direct facade mutation outside the

@@ -10,6 +10,25 @@
 
 namespace deddb {
 
+namespace {
+
+// The events of `predicates` alone, out of a pass that computed more.
+DerivedEvents EventsFor(const DerivedEvents& events,
+                        const std::vector<SymbolId>& predicates) {
+  DerivedEvents out;
+  for (SymbolId pred : predicates) {
+    if (const Relation* r = events.inserts.Find(pred)) {
+      r->ForEach([&](const Tuple& t) { out.inserts.Add(pred, t); });
+    }
+    if (const Relation* r = events.deletes.Find(pred)) {
+      r->ForEach([&](const Tuple& t) { out.deletes.Add(pred, t); });
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
 DeductiveDatabase::DeductiveDatabase(EventCompilerOptions compiler_options)
     : compiler_options_(compiler_options) {}
 
@@ -153,38 +172,23 @@ Status DeductiveDatabase::Close() {
 }
 
 Status DeductiveDatabase::ReplayWalRecord(const persist::WalRecord& record) {
-  if (record.origin == persist::CommitOrigin::kDirect) {
-    Status status = ApplyUnlogged(record.transaction);
-    if (!status.ok()) {
-      return CorruptionError(
-          StrCat("replaying logged transaction ", record.seq,
-                 " failed (was the schema checkpointed before "
-                 "committing?): ", status.ToString()));
-    }
-  } else {
-    UpdateProcessor processor(this);
-    Result<UpdateProcessor::TransactionReport> report =
-        processor.ProcessTransaction(record.transaction, /*apply=*/true);
-    if (!report.ok()) {
-      return CorruptionError(
-          StrCat("replaying logged transaction ", record.seq,
-                 " failed (was the schema checkpointed before "
-                 "committing?): ", report.status().ToString()));
-    }
-    if (!report->accepted) {
-      // The record was only written after the original pass accepted it.
-      return CorruptionError(
-          StrCat("logged transaction ", record.seq,
-                 " was rejected on replay; the log does not match the "
-                 "snapshot"));
-    }
+  // The record was only written after the original commit passed its gate,
+  // so a failure or a rejection here means the log does not match the state.
+  // Commit also re-arms the record's token: a client retrying across the
+  // crash (or failing over to a replica) still gets a dedup hit.
+  Result<CommitResult> replayed =
+      Commit(record.transaction, record.origin, record.token);
+  if (!replayed.ok()) {
+    return CorruptionError(
+        StrCat("replaying logged transaction ", record.seq,
+               " failed (was the schema checkpointed before committing?): ",
+               replayed.status().ToString()));
   }
-  if (record.token.present()) {
-    // Re-arm the exactly-once memory: a client retrying across the crash
-    // (or failing over to a replica) must still get a dedup hit, not a
-    // second apply.
-    std::lock_guard<std::mutex> lock(commit_mu_);
-    dedup_.Record(record.token, version_);
+  if (!replayed->accepted) {
+    return CorruptionError(
+        StrCat("logged transaction ", record.seq,
+               " was rejected on replay; the log does not match the "
+               "snapshot"));
   }
   return Status::Ok();
 }
@@ -220,8 +224,8 @@ Result<uint64_t> DeductiveDatabase::ApplyReplicated(
     return FailedPreconditionError(
         "ApplyReplicated requires EnterReplicaMode()");
   }
-  // One applier at a time: the replay of a processor record takes the
-  // commit lock per phase, so commit_mu_ alone cannot order two appliers.
+  // One applier at a time: the cursor check and advance bracket the replay,
+  // which alone holds commit_mu_.
   std::lock_guard<std::mutex> apply_lock(replica_apply_mu_);
   DEDDB_ASSIGN_OR_RETURN(
       persist::WalRecord record,
@@ -382,12 +386,13 @@ Result<Transaction> DeductiveDatabase::MakeTransaction(
 }
 
 Status DeductiveDatabase::Apply(const Transaction& transaction) {
-  return ApplyInternal(transaction, persist::CommitToken{});
+  return Apply(transaction, persist::CommitToken{});
 }
 
 Status DeductiveDatabase::Apply(const Transaction& transaction,
                                 const persist::CommitToken& token) {
-  return ApplyInternal(transaction, token);
+  if (replica_mode()) return ReplicaRefusal();
+  return Commit(transaction, persist::CommitOrigin::kDirect, token).status();
 }
 
 DedupResult DeductiveDatabase::LookupCommitToken(
@@ -401,9 +406,10 @@ Status DeductiveDatabase::commit_health() const {
   return commit_health_;
 }
 
-Status DeductiveDatabase::ApplyInternal(const Transaction& transaction,
-                                        const persist::CommitToken& token) {
-  if (replica_mode()) return ReplicaRefusal();
+Result<DeductiveDatabase::CommitResult> DeductiveDatabase::Commit(
+    const Transaction& transaction, persist::CommitOrigin origin,
+    const persist::CommitToken& token, bool apply) {
+  const bool checked = origin == persist::CommitOrigin::kProcessor;
   const obs::ObsContext obs = observability();
   std::unique_lock<std::mutex> lock(commit_mu_, std::try_to_lock);
   if (!lock.owns_lock()) {
@@ -418,108 +424,136 @@ Status DeductiveDatabase::ApplyInternal(const Transaction& transaction,
         std::chrono::duration_cast<std::chrono::microseconds>(waited)
             .count());
   }
-  DEDDB_RETURN_IF_ERROR(commit_health_);
-  DEDDB_RETURN_IF_ERROR(
-      transaction.Validate(db_.facts(), db_.predicates()));
-  if (persistence_ == nullptr) {
-    DEDDB_RETURN_IF_ERROR(ApplyValidatedLocked(transaction));
-    if (token.present()) dedup_.Record(token, version_);
-    return Status::Ok();
+
+  // 1. Gate: the sticky durability failure, the §5.3 precondition of a
+  // checked commit, and event validity (eqs. 1-2).
+  if (apply) DEDDB_RETURN_IF_ERROR(commit_health_);
+  if (checked) {
+    DEDDB_ASSIGN_OR_RETURN(bool consistent, IsConsistent());
+    if (!consistent) {
+      return FailedPreconditionError(
+          "ProcessTransaction requires a consistent database; repair it "
+          "first (RepairDatabase)");
+    }
   }
-  // Redo logging, pipelined: stage the commit record (its sequence number
-  // and log bytes) under the lock, apply in memory, then wait for
-  // durability OUTSIDE the lock so concurrent committers share fsyncs
-  // (group commit end-to-end). A failed staging leaves the database
-  // untouched, so the redo contract is unchanged.
-  DEDDB_ASSIGN_OR_RETURN(
-      persist::PersistenceManager::PreparedCommit prepared,
-      persistence_->PrepareCommit(transaction, persist::CommitOrigin::kDirect,
-                                  db_.symbols(), obs, token));
-  DEDDB_RETURN_IF_ERROR(ApplyValidatedLocked(transaction));
-  // Record the token with the commit it names, before the lock drops: a
-  // dedup lookup serialized after this commit must see it. If durability
-  // then fails the facade is poisoned, so the optimistic entry can never
-  // answer a request (writes stop being admitted) and the non-durable
-  // record is not replayed on reopen.
-  if (token.present()) dedup_.Record(token, version_);
-  lock.unlock();
-  Status durable = persistence_->WaitCommitDurable(prepared, obs);
-  if (!durable.ok()) {
-    // Applied in memory but not on disk: the memory state is ahead of the
-    // log, so no further commit may be acknowledged. Poison the facade.
-    std::lock_guard<std::mutex> relock(commit_mu_);
-    commit_health_ = InternalError(
-        StrCat("commit ", prepared.seq,
-               " was applied in memory but its log record is not durable (",
-               durable.ToString(), "); reopen the database to re-converge"));
-    return commit_health_;
+  DEDDB_RETURN_IF_ERROR(transaction.Validate(db_.facts(), db_.predicates()));
+
+  // 2. One upward pass (§5.3: the upward problems share their starting
+  // point). `required` goals must be computed for the commit to proceed;
+  // the observer's are best-effort. Induced events are a property of the
+  // transition, so the pass runs against the OLD state, before any mutation.
+  std::vector<SymbolId> goals;
+  if (checked) {
+    goals.push_back(db_.global_ic());
+    goals.insert(goals.end(), db_.condition_predicates().begin(),
+                 db_.condition_predicates().end());
   }
-  // Durable and irrevocable: expose the record to the replica feed.
-  persistence_->SettleCommit(prepared.seq);
-  return Status::Ok();
-}
+  for (SymbolId view : db_.view_predicates()) {
+    if (db_.IsMaterialized(view)) goals.push_back(view);
+  }
+  const bool required = !goals.empty();
+  const bool announce = apply && commit_observer_ != nullptr &&
+                        commit_observer_->active();
+  std::vector<SymbolId> wanted;
+  if (announce) {
+    wanted = commit_observer_->WantedDerived();
+    goals.insert(goals.end(), wanted.begin(), wanted.end());
+  }
+  CommitResult result;
+  bool observed = true;
+  if (!goals.empty()) {
+    Result<DerivedEvents> events = [&]() -> Result<DerivedEvents> {
+      DEDDB_ASSIGN_OR_RETURN(const CompiledEvents* compiled, CompiledLocked());
+      // Only a checked commit answers to the requester's ResourceGuard: the
+      // view store and a delta stream other clients depend on must not fail
+      // because one writer ran with a small budget.
+      UpwardOptions options = upward_options_;
+      if (!checked) options.eval.guard = nullptr;
+      UpwardInterpreter upward(&db_, compiled, options);
+      return upward.InducedEventsFor(transaction, goals);
+    }();
+    if (events.ok()) {
+      result.events = std::move(*events);
+    } else if (required) {
+      return events.status();
+    } else {
+      // Only the observer needed the pass (e.g. the event rules no longer
+      // compile): commit anyway and demote the delta to a barrier.
+      observed = false;
+    }
+  }
+  if (checked) {
+    result.accepted = !result.events.ContainsInsert(db_.global_ic(), {});
+  }
+  if (!result.accepted || !apply) return result;
 
-Status DeductiveDatabase::ApplyUnlogged(const Transaction& transaction) {
-  std::lock_guard<std::mutex> lock(commit_mu_);
-  return ApplyUnloggedLocked(transaction);
-}
+  // 3. Stage the commit record. A failed staging leaves everything untouched.
+  std::optional<persist::PersistenceManager::PreparedCommit> prepared;
+  if (persistence_ != nullptr) {
+    DEDDB_ASSIGN_OR_RETURN(
+        prepared, persistence_->PrepareCommit(transaction, origin,
+                                              db_.symbols(), obs, token));
+  }
 
-Status DeductiveDatabase::ApplyUnloggedLocked(const Transaction& transaction) {
-  DEDDB_RETURN_IF_ERROR(
-      transaction.Validate(db_.facts(), db_.predicates()));
-  return ApplyValidatedLocked(transaction);
-}
-
-Status DeductiveDatabase::ApplyValidatedLocked(
-    const Transaction& transaction) {
-  // CDC (DESIGN.md §11): induced events are a property of the transition,
-  // so they are computed against the OLD state, before the in-place
-  // mutation below. The requester's ResourceGuard is stripped — a delta
-  // stream other clients depend on must not fail because one writer ran
-  // with a small budget.
-  DerivedEvents induced;
-  bool announce = false;
-  bool induced_ok = true;
-  if (commit_observer_ != nullptr && commit_observer_->active()) {
-    announce = true;
-    const std::vector<SymbolId> wanted = commit_observer_->WantedDerived();
-    if (!wanted.empty()) {
-      Result<const CompiledEvents*> compiled = CompiledLocked();
-      if (compiled.ok()) {
-        UpwardOptions options = upward_options_;
-        options.eval.guard = nullptr;
-        UpwardInterpreter upward(&db_, *compiled, options);
-        Result<DerivedEvents> events =
-            upward.InducedEventsFor(transaction, wanted);
-        if (events.ok()) {
-          induced = std::move(*events);
-        } else {
-          induced_ok = false;
-        }
-      } else {
-        induced_ok = false;
-      }
+  // 4. Apply in memory — in place, O(|Δ|) — views first, then base facts.
+  FactStore& store = db_.materialized_store();
+  for (SymbolId view : db_.view_predicates()) {
+    if (!db_.IsMaterialized(view)) continue;
+    if (const Relation* gone = result.events.deletes.Find(view)) {
+      gone->ForEach([&](const Tuple& t) {
+        result.applied_deletes += store.Remove(view, t) ? 1 : 0;
+      });
+    }
+    if (const Relation* added = result.events.inserts.Find(view)) {
+      added->ForEach([&](const Tuple& t) {
+        result.applied_inserts += store.Add(view, t) ? 1 : 0;
+      });
     }
   }
   InvalidateDomain();
-  // In place: O(|T|), not O(|DB|).
   FactStore& facts = db_.mutable_facts();
   transaction.deletes().ForEach(
       [&](SymbolId pred, const Tuple& t) { facts.Remove(pred, t); });
   transaction.inserts().ForEach(
       [&](SymbolId pred, const Tuple& t) { facts.Add(pred, t); });
   MarkMutatedLocked();
+  // A checked transaction passed the incremental integrity check, so the
+  // new state is known consistent without re-deriving Ic.
+  if (checked) consistency_cache_ = true;
+  // Record the token with the commit it names, before the lock drops: a
+  // dedup lookup serialized after this commit must see it. If durability
+  // then fails the facade is poisoned, so the optimistic entry can never
+  // answer a request (writes stop being admitted) and the non-durable
+  // record is not replayed on reopen.
+  if (token.present()) dedup_.Record(token, version_);
   if (announce) {
-    // A commit whose induced events could not be computed (e.g. the event
-    // rules no longer compile) still changed the database: demote it to a
-    // barrier rather than fail the write or ship a wrong delta.
-    if (induced_ok) {
-      commit_observer_->OnCommit(version_, transaction, induced);
-    } else {
+    if (!observed) {
       commit_observer_->OnBarrier(version_);
+    } else if (!required) {
+      commit_observer_->OnCommit(version_, transaction, result.events);
+    } else {
+      commit_observer_->OnCommit(version_, transaction,
+                                 EventsFor(result.events, wanted));
     }
   }
-  return Status::Ok();
+  if (!prepared.has_value()) return result;
+
+  // 5. Durability, outside the lock so concurrent committers share fsyncs.
+  lock.unlock();
+  Status durable = persistence_->WaitCommitDurable(*prepared, obs);
+  if (!durable.ok()) {
+    // Applied in memory but not on disk: the memory state is ahead of the
+    // log, so no further commit may be acknowledged. Poison the facade.
+    std::lock_guard<std::mutex> relock(commit_mu_);
+    commit_health_ = InternalError(
+        StrCat("commit ", prepared->seq,
+               " was applied in memory but its log record is not durable (",
+               durable.ToString(), "); reopen the database to re-converge"));
+    return commit_health_;
+  }
+  // Durable and irrevocable: expose the record to the replica feed.
+  persistence_->SettleCommit(prepared->seq);
+  return result;
 }
 
 Result<const CompiledEvents*> DeductiveDatabase::Compiled() {

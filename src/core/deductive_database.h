@@ -65,7 +65,8 @@ class DeductiveDatabase {
   /// for new commits. A fresh directory yields an empty database.
   ///
   /// Durability contract: every transaction committed through Apply or
-  /// UpdateProcessor is durably logged before it is applied, so an
+  /// UpdateProcessor has its log record staged before it is applied, and the
+  /// commit is acknowledged only once that record is durable, so an
   /// acknowledged commit survives any crash. Schema and rules are durable
   /// only as of the last Checkpoint()/Close() — declare the schema, then
   /// checkpoint, then commit transactions.
@@ -91,7 +92,7 @@ class DeductiveDatabase {
   // ---- Replication (src/repl/, DESIGN.md §12) ------------------------------
 
   /// Switches this database into a read-only replica: every local mutator
-  /// (schema, rules, facts, Apply, rule updates) fails with
+  /// (schema, rules, facts, Apply, Process, rule updates) fails with
   /// kFailedPrecondition from here on, and ApplyReplicated becomes the only
   /// way state changes — shipped WAL records replayed through the same path
   /// recovery takes. On a database opened with OpenPersistent (a copied
@@ -106,9 +107,9 @@ class DeductiveDatabase {
   }
 
   /// Applies one shipped WAL commit payload (the EncodeCommitPayload bytes a
-  /// ReplicaFeed delivers) through the recovery replay path: direct commits
-  /// via the unlogged apply, processor commits re-deriving their view deltas,
-  /// tokens re-armed in the dedup table. Enforces a strictly increasing
+  /// ReplicaFeed delivers) through the recovery replay path: the commit path
+  /// every local commit takes (view deltas re-derived, processor commits
+  /// re-checked), tokens re-armed in the dedup table. Enforces a strictly increasing
   /// sequence (a duplicate or reordered record is kFailedPrecondition — the
   /// feed resumes from replica_applied_seq(), so it never legitimately
   /// re-delivers). Structural damage in the payload is kCorruption; a record
@@ -178,10 +179,12 @@ class DeductiveDatabase {
   Result<Transaction> MakeTransaction(
       std::vector<std::pair<Op, Atom>> events);
 
-  /// Validates (per eqs. 1-2) and applies a transaction to the base facts.
-  /// On a persistent database the transaction is durably logged first (the
-  /// log record is the commit point). Does NOT maintain materialized views;
-  /// use UpdateProcessor for the combined pipeline.
+  /// Validates (per eqs. 1-2) and applies a transaction to the base facts,
+  /// keeping the materialized views right (their delta comes from the same
+  /// upward pass that feeds the CDC observer). No integrity constraint is
+  /// checked; UpdateProcessor::ProcessTransaction is the checked commit. On
+  /// a persistent database the commit record is staged before the in-memory
+  /// apply and Apply returns only once it is durable.
   Status Apply(const Transaction& transaction);
 
   /// Apply with an idempotency token: the commit is recorded in the dedup
@@ -331,38 +334,43 @@ class DeductiveDatabase {
   }
 
  private:
-  /// Shared body of both public Apply overloads; `token` may be absent.
-  Status ApplyInternal(const Transaction& transaction,
-                       const persist::CommitToken& token);
+  /// What a commit's upward pass found; UpdateProcessor builds its report
+  /// from it.
+  struct CommitResult {
+    /// False when a checked commit induced ιIc: nothing was logged or
+    /// changed.
+    bool accepted = true;
+    /// The pass's induced events (empty when the pass had no goals).
+    DerivedEvents events;
+    /// Stored view tuples the commit actually inserted/removed.
+    size_t applied_inserts = 0;
+    size_t applied_deletes = 0;
+  };
 
-  /// Replays one committed WAL record through the path that produced it —
-  /// the shared body of OpenPersistent's recovery loop and ApplyReplicated.
-  /// Failures (a transaction the current state rejects) are kCorruption:
-  /// the log/feed does not match the state it is being applied to.
+  /// The one commit path (DESIGN.md §9): Apply, UpdateProcessor, WAL
+  /// recovery and ApplyReplicated all commit here. A kProcessor commit is
+  /// *checked*: it requires a consistent database and is refused when it
+  /// induces ιIc. One upward pass serves the materialized views, the CDC
+  /// observer and, when checked, the constraints and conditions. Then, under
+  /// commit_mu_, the commit stages its log record (persistent databases),
+  /// applies the view delta and the base delta, records `token` and notifies
+  /// the observer; the durability wait runs after the lock drops, so
+  /// concurrent committers share fsyncs. `apply` false stops after the pass
+  /// (UpdateProcessor's dry run). Replica-mode refusal is the callers' job:
+  /// replay commits through here too.
+  Result<CommitResult> Commit(const Transaction& transaction,
+                              persist::CommitOrigin origin,
+                              const persist::CommitToken& token,
+                              bool apply = true);
+
+  /// Replays one committed WAL record through Commit — the shared body of
+  /// OpenPersistent's recovery loop and ApplyReplicated. Failures (a
+  /// transaction the current state rejects) are kCorruption: the log/feed
+  /// does not match the state it is being applied to.
   Status ReplayWalRecord(const persist::WalRecord& record);
 
   /// The typed refusal every local mutator returns in replica mode.
   Status ReplicaRefusal() const;
-
-  /// Apply without logging: the in-memory mutation shared by the public
-  /// Apply (which logs first), UpdateProcessor (which logs with kProcessor
-  /// origin before calling this), and WAL replay. Takes the commit lock.
-  Status ApplyUnlogged(const Transaction& transaction);
-
-  /// Same, with commit_mu_ already held (UpdateProcessor's atomic region).
-  Status ApplyUnloggedLocked(const Transaction& transaction);
-
-  /// The mutation itself, after validation, commit_mu_ held: applies the
-  /// deltas to the base facts, invalidates the domain, and retires the
-  /// current snapshot version.
-  Status ApplyValidatedLocked(const Transaction& transaction);
-
-  /// The commit lock, for UpdateProcessor's apply/rollback region: sessions
-  /// begin and mutations commit under this lock, so holding it makes a
-  /// multi-store mutation atomic with respect to BeginSession.
-  std::unique_lock<std::mutex> LockCommits() {
-    return std::unique_lock<std::mutex>(commit_mu_);
-  }
 
   /// Bumps the commit version and drops the cached snapshot. Call (with
   /// commit_mu_ held) after any mutation a session must not share.
@@ -395,7 +403,7 @@ class DeductiveDatabase {
     consistency_cache_.reset();
   }
 
-  friend class UpdateProcessor;  // maintains consistency_cache_ on apply
+  friend class UpdateProcessor;  // commits through Commit()
 
   Database db_;
   std::unique_ptr<persist::PersistenceManager> persistence_;
@@ -406,15 +414,16 @@ class DeductiveDatabase {
   std::optional<ActiveDomain> domain_;
   std::vector<SymbolId> extra_domain_constants_;
   // Cached result of IsConsistent(); invalidated by any fact or rule
-  // change, refreshed by IsConsistent() and by UpdateProcessor when an
-  // accepted (integrity-checked) transaction is applied.
+  // change, refreshed by IsConsistent() and by every checked commit (an
+  // accepted transaction keeps a consistent database consistent).
   std::optional<bool> consistency_cache_;
 
   // ---- Session machinery (DESIGN.md §9) -----------------------------------
   // Serializes mutations, snapshot acquisition, and lazy event compilation
   // (which registers predicate variants — a mutation of the predicate
-  // table). Held only briefly by the pipelined Apply: the fsync wait happens
-  // outside it, so concurrent committers batch (group commit end-to-end).
+  // table). Commit() holds it from the gate to the in-memory apply; the
+  // fsync wait happens outside it, so concurrent committers batch (group
+  // commit end-to-end).
   mutable std::mutex commit_mu_;
   uint64_t version_ = 0;
   // The snapshot for version_, if some session already paid for the clone.
@@ -426,9 +435,9 @@ class DeductiveDatabase {
   std::shared_ptr<SessionRegistry> session_registry_ =
       std::make_shared<SessionRegistry>();
   // Sticky failure set when a commit was applied in memory but its log
-  // record did not become durable (pipelined Apply): the memory state is
-  // ahead of the log, so further commits/checkpoints must not proceed —
-  // reopen the database to re-converge.
+  // record did not become durable (Commit's durability wait): the memory
+  // state is ahead of the log, so further commits/checkpoints must not
+  // proceed — reopen the database to re-converge.
   Status commit_health_;
   // Committed tokened writes (exactly-once memory); commit_mu_ guards it.
   // Populated at commit time and, for persistent databases, re-populated
@@ -442,9 +451,9 @@ class DeductiveDatabase {
   // status accessors stay lock-free for the serving path.
   std::atomic<bool> replica_mode_{false};
   std::atomic<uint64_t> replica_applied_seq_{0};
-  // Serializes ApplyReplicated callers (the feed tail thread; the commit
-  // lock alone cannot, because replay of processor records takes it
-  // internally per phase).
+  // Serializes ApplyReplicated callers (the feed tail thread): the cursor
+  // check, the replay and the cursor advance must be one step, and the
+  // commit lock covers only the replay.
   std::mutex replica_apply_mu_;
 };
 

@@ -64,10 +64,11 @@ struct SessionRegistry {
 /// DeductiveDatabase::BeginSession() (DESIGN.md §9).
 ///
 /// Visibility contract: every read answers against exactly the state of the
-/// acknowledged commit prefix at BeginSession time — never a torn mid-Apply
-/// state, and never anything committed later. The handle stays valid (and
-/// keeps answering from its pinned version) across any concurrent writer
-/// activity: Apply, ApplyAtomically, schema or rule changes, Checkpoint.
+/// commit prefix applied at BeginSession time — never a torn mid-commit
+/// state (base facts and view store move together), and never anything
+/// committed later. The handle stays valid (and keeps answering from its
+/// pinned version) across any concurrent writer activity: commits (Apply,
+/// UpdateProcessor), schema or rule changes, Checkpoint.
 ///
 /// Thread model: any number of Sessions may run concurrently with each other
 /// and with the single writer. One Session is NOT internally synchronized

@@ -39,11 +39,16 @@ class UpdateProcessor {
     std::string ToString(const SymbolTable& symbols) const;
   };
 
-  /// One upward interpretation of {ιIc, ιView(x), δView(x), ιCond(x),
-  /// δCond(x)}: checks the constraints, monitors all conditions and computes
-  /// all materialized-view deltas together. When `apply` is true and no
-  /// constraint is violated, applies the base updates and the view deltas to
-  /// the stores. Requires a consistent database.
+  /// The checked commit: one upward interpretation of {ιIc, ιView(x),
+  /// δView(x), ιCond(x), δCond(x)} checks the constraints, monitors all
+  /// conditions and computes all materialized-view deltas together. When
+  /// `apply` is true and no constraint is violated, the transaction commits
+  /// through the facade's one commit path (the same one Apply takes): the
+  /// view deltas and the base updates are applied under the commit lock and,
+  /// on a persistent database, the call returns once the commit record is
+  /// durable. A failed fsync then poisons the facade, exactly as for Apply
+  /// (DeductiveDatabase::commit_health). A rejected transaction changes
+  /// nothing and logs nothing. Requires a consistent database.
   Result<TransactionReport> ProcessTransaction(const Transaction& transaction,
                                                bool apply = true);
 
@@ -76,14 +81,6 @@ class UpdateProcessor {
   }
 
  private:
-  /// Applies an accepted transaction plus its materialized-view delta as one
-  /// atomic unit: on any failure past the first mutation, every performed
-  /// operation is undone (view ops via an undo log, base facts via the
-  /// inverse transaction) before the error is returned, leaving the database
-  /// identical to its pre-call state.
-  Status ApplyAtomically(const Transaction& transaction,
-                         TransactionReport* report);
-
   DeductiveDatabase* db_;
   persist::CommitToken token_;
 };

@@ -79,7 +79,6 @@ std::string_view ProseLabel(std::string_view name) {
            "condition-activation prevention for"},
           {"problem.rule_update", "rule update simulation"},
           {"processor.transaction", "transaction"},
-          {"processor.apply", "atomic apply"},
           {"processor.view_update", "view update request"},
           {"processor.candidate", "candidate translation"},
       };

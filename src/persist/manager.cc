@@ -223,33 +223,6 @@ Status PersistenceManager::WaitCommitDurable(const PreparedCommit& prepared,
   return Status::Ok();
 }
 
-Status PersistenceManager::LogAbort(uint64_t seq, obs::ObsContext obs) {
-  obs::ScopedSpan span(obs.tracer, "persist.log_abort");
-  std::lock_guard<std::mutex> lock(mu_);
-  if (writer_ == nullptr) {
-    return FailedPreconditionError("the log is not open for appending");
-  }
-  const uint64_t abort_seq = last_seq_ + 1;
-  DEDDB_RETURN_IF_ERROR(writer_->AppendDurable(
-      EncodeAbortPayload(abort_seq, seq), obs));
-  last_seq_ = abort_seq;
-  ++stats_.aborts_logged;
-  obs::MetricsRegistry::Add(obs.metrics, "persist.aborts_logged");
-  // The rolled-back commit's fate is now durable, which settles both
-  // records: the feed may ship past them (skipping the aborted commit).
-  {
-    RetainedRecord retained;
-    retained.seq = abort_seq;
-    retained.is_abort = true;
-    retained.settled = true;
-    retained.aborted_seq = seq;
-    RetainLocked(std::move(retained));
-  }
-  SettleRetainedLocked(seq);
-  MarkSettled(abort_seq);
-  return Status::Ok();
-}
-
 Status PersistenceManager::Checkpoint(const Database& db,
                                       obs::ObsContext obs) {
   obs::ScopedSpan span(obs.tracer, "persist.checkpoint");
@@ -360,8 +333,7 @@ Result<PersistenceManager::FeedBatch> PersistenceManager::ReadFeedRecords(
   if (max_bytes == 0) max_bytes = SIZE_MAX;
   // The horizon is read *before* the ring/file, so every settled record at
   // or below it is already staged where we are about to look: a commit
-  // settles only after its bytes are staged, and an aborted commit's abort
-  // marker is durable (and staged) before any later sequence settles.
+  // settles only after its bytes are staged.
   const uint64_t horizon = settled_seq();
   FeedBatch batch;
   batch.last_durable_seq = horizon;
@@ -371,14 +343,7 @@ Result<PersistenceManager::FeedBatch> PersistenceManager::ReadFeedRecords(
     std::lock_guard<std::mutex> lock(mu_);
     if (from_seq >= retained_floor_) {
       // Fast path: the retained window covers everything after from_seq.
-      // The abort set is collected over the whole horizon first, so a
-      // max_records cutoff can never ship a commit whose abort it has not
-      // seen yet.
-      std::unordered_set<uint64_t> aborted;
-      for (const RetainedRecord& record : retained_) {
-        if (record.seq > horizon) break;
-        if (record.is_abort) aborted.insert(record.aborted_seq);
-      }
+      // It holds commits only: the engine writes no abort records.
       size_t bytes = 0;
       for (const RetainedRecord& record : retained_) {
         if (record.seq > horizon) break;
@@ -388,10 +353,7 @@ Result<PersistenceManager::FeedBatch> PersistenceManager::ReadFeedRecords(
         // would lose it for good once it settles. Its committer resolves it
         // promptly — settled, or un-staged on flush failure.
         if (!record.settled) break;
-        if (record.seq <= from_seq || record.is_abort ||
-            aborted.count(record.seq) > 0) {
-          continue;
-        }
+        if (record.seq <= from_seq) continue;
         if (!batch.records.empty() &&
             (batch.records.size() >= max_records ||
              bytes + record.payload.size() > max_bytes)) {
@@ -406,7 +368,9 @@ Result<PersistenceManager::FeedBatch> PersistenceManager::ReadFeedRecords(
   }
 
   // Slow path: the replica is further behind than the retained window —
-  // re-scan the log file (no symbol interning, raw frames).
+  // re-scan the log file (no symbol interning, raw frames). A log written
+  // before rollbacks were retired may still carry abort records; they and
+  // the commits they void are filtered, as recovery filters them.
   DEDDB_ASSIGN_OR_RETURN(RawWalContents contents,
                          ReadWalRaw(wal_path(), from_seq));
   if (from_seq < contents.base_seq) {

@@ -28,9 +28,11 @@ namespace deddb::persist {
 ///      (caller replays them)
 ///   3. OpenLogForAppend()         — take over the log for new commits
 ///
-/// then per commit: LogCommit before the in-memory apply (redo logging: the
-/// commit point is the durable commit record), LogAbort if the apply is
-/// subsequently rolled back, and Checkpoint to compact.
+/// then per commit: PrepareCommit before the in-memory apply, then
+/// WaitCommitDurable and SettleCommit (redo logging: the commit is
+/// acknowledged once its record is durable), and Checkpoint to compact.
+/// Abort records are only ever read: logs written before rollbacks were
+/// retired may carry them, and recovery and the feed filter what they void.
 class PersistenceManager {
  public:
   struct Options {
@@ -44,7 +46,6 @@ class PersistenceManager {
 
   struct Stats {
     uint64_t commits_logged = 0;
-    uint64_t aborts_logged = 0;
     uint64_t checkpoints = 0;
     uint64_t torn_tail_truncations = 0;
     uint64_t wal_durable_bytes = 0;
@@ -66,12 +67,13 @@ class PersistenceManager {
   Status RestoreSnapshotInto(Database* db);
 
   /// Reads the log, truncates any torn tail in place, and returns the commit
-  /// records to replay: stale records (seq ≤ the snapshot's) and aborted
-  /// commits are filtered out. Must run after RestoreSnapshotInto.
+  /// records to replay: stale records (seq ≤ the snapshot's) and commits an
+  /// abort record voids (old logs only) are filtered out. Must run after
+  /// RestoreSnapshotInto.
   Result<std::vector<WalRecord>> ReadLogForRecovery(SymbolTable* symbols);
 
   /// Opens the log for appending (creating it when absent). After this,
-  /// LogCommit/LogAbort/Checkpoint are usable.
+  /// LogCommit/PrepareCommit/Checkpoint are usable.
   Status OpenLogForAppend();
 
   /// Durably logs a committed transaction and returns its sequence number.
@@ -100,7 +102,8 @@ class PersistenceManager {
   /// WaitCommitDurable joins the group flush with no locks held, so
   /// concurrent committers batch fsyncs end-to-end. The caller must not
   /// acknowledge the commit before WaitCommitDurable returns Ok; on error
-  /// the record is not in the log and the caller must un-apply or escalate.
+  /// the record is not in the log and the caller must escalate (the facade
+  /// poisons itself: its memory state is ahead of the log).
   /// With group_commit disabled PrepareCommit degrades to a full synchronous
   /// LogCommit and WaitCommitDurable is a no-op.
   Result<PreparedCommit> PrepareCommit(const Transaction& txn,
@@ -110,12 +113,6 @@ class PersistenceManager {
                                        const CommitToken& token = {});
   Status WaitCommitDurable(const PreparedCommit& prepared,
                            obs::ObsContext obs);
-
-  /// Durably logs that the commit with sequence `seq` was rolled back, so
-  /// recovery skips it. An error here is critical: the in-memory state no
-  /// longer matches the log (the caller escalates and the database must be
-  /// reopened to re-converge).
-  Status LogAbort(uint64_t seq, obs::ObsContext obs);
 
   /// Compacts: durably snapshots `db` at the current sequence number, then
   /// installs a fresh log. Crash-safe at every step — until the snapshot
@@ -140,7 +137,8 @@ class PersistenceManager {
 
   struct FeedBatch {
     /// Settled horizon at read time: every commit with seq at or below it
-    /// has a decided fate (shipped here if committed, filtered if aborted).
+    /// has a decided fate (shipped here if durable and not voided by an old
+    /// log's abort record).
     /// This is the `primary_last_durable_seq` of the staleness contract.
     uint64_t last_durable_seq = 0;
     std::vector<FeedRecord> records;  // commits only, seq strictly increasing
@@ -148,18 +146,17 @@ class PersistenceManager {
 
   /// Settles the commit `seq`: flips its retained record shippable and
   /// raises the settled watermark (monotone). A record is settled once its
-  /// fate is final: a direct commit after its fsync succeeded, a processor
-  /// commit once accepted, an abort record once durable (LogAbort settles
-  /// itself and the commit it voids). Only individually settled records
-  /// ship — a commit that could still fail its flush or be retroactively
-  /// aborted never reaches a replica.
+  /// fate is final: after its fsync succeeded. Only individually settled
+  /// records ship — a commit that could still fail its flush never reaches
+  /// a replica.
   void SettleCommit(uint64_t seq);
   uint64_t settled_seq() const;
 
   /// Returns committed records with `from_seq < seq <= settled_seq()`, up to
   /// `max_records`/`max_bytes` (at least one record is returned when any
   /// qualifies, even if it alone exceeds max_bytes). Aborted commits and
-  /// abort markers are filtered out, mirroring ReadLogForRecovery. Served
+  /// abort markers of old logs are filtered out, mirroring
+  /// ReadLogForRecovery. Served
   /// from the in-memory retained window when it covers `from_seq`, else by
   /// re-scanning the log file. kNotFound when `from_seq` predates the log's
   /// base (a checkpoint truncated the history away — the replica must
@@ -176,18 +173,15 @@ class PersistenceManager {
   PersistenceManager(std::string dir, Options options)
       : dir_(std::move(dir)), options_(options) {}
 
-  /// One entry of the retained feed window (commits and abort markers both,
-  /// so the read path can filter retained commits by retained aborts).
+  /// One commit of the retained feed window.
   struct RetainedRecord {
     uint64_t seq = 0;
-    bool is_abort = false;
-    /// Fate decided (SettleCommit ran, or the commit was aborted). The feed
-    /// ships nothing at or past an unsettled record: its flush may yet fail,
-    /// in which case it is un-staged rather than settled.
+    /// Fate decided (SettleCommit ran). The feed ships nothing at or past
+    /// an unsettled record: its flush may yet fail, in which case it is
+    /// un-staged rather than settled.
     bool settled = false;
-    uint64_t aborted_seq = 0;  // abort markers only
-    uint32_t crc = 0;          // commits only
-    std::string payload;       // commits only
+    uint32_t crc = 0;
+    std::string payload;
   };
 
   /// Raises the settled watermark to `seq` (monotone, lock-free).

@@ -29,15 +29,18 @@ inline constexpr size_t kWalFrameSize = 4 + 4;
 
 enum class RecordType : uint8_t {
   kCommit = 1,  // a committed transaction's base event set
-  kAbort = 2,   // compensation: the commit with `aborted_seq` was rolled back
+  // Compensation: the commit with `aborted_seq` was rolled back. No longer
+  // written (commits never roll back); still read, for older logs.
+  kAbort = 2,
 };
 
-/// Which apply path produced a commit record. Replay must take the same
-/// path: processor commits re-derive induced view deltas through the upward
-/// interpretation; direct commits touch base facts only.
+/// Which caller produced a commit record. Both replay through the facade's
+/// one commit path, which re-derives the materialized-view delta; a
+/// processor commit is replayed checked (consistency precondition and
+/// integrity constraints), a direct one unchecked.
 enum class CommitOrigin : uint8_t {
-  kProcessor = 0,  // UpdateProcessor::ApplyAtomically
-  kDirect = 1,     // DeductiveDatabase::Apply
+  kProcessor = 0,  // UpdateProcessor::ProcessTransaction (checked)
+  kDirect = 1,     // DeductiveDatabase::Apply (unchecked)
 };
 
 /// Client-supplied idempotency token carried by a commit: `(client_id,
@@ -79,6 +82,8 @@ struct WalContents {
 /// u64 request_seq) after the transaction; logs written before tokens
 /// existed decode unchanged, and an absent token encodes to the identical
 /// bytes they used — the on-disk format is extended, not versioned away.
+/// The engine no longer writes abort records; EncodeAbortPayload remains
+/// the definition of the bytes older logs carry.
 std::string EncodeCommitPayload(uint64_t seq, CommitOrigin origin,
                                 const Transaction& txn,
                                 const SymbolTable& symbols,

@@ -999,14 +999,15 @@ void Server::WriterLoop() {
             start - job.admitted_at)
             .count());
     if (options_.writer_stall_for_test) options_.writer_stall_for_test();
+    Reply reply;
     if (job.has_deadline && Clock::now() >= job.deadline_at) {
       Count(kDeadlineExpiredInQueue);
       // Not retryable: the deadline was the client's whole budget for this
       // request, and it is spent.
-      SendWriteError(job.conn, job.request_id,
-                     DeadlineExceededError(
-                         "request deadline expired in the admission queue"),
-                     job.token.present(), /*retryable=*/false);
+      reply = WriteErrorReply(
+          DeadlineExceededError(
+              "request deadline expired in the admission queue"),
+          job.token.present(), /*retryable=*/false);
     } else {
       // Re-arm the facade guard for this job: remaining deadline (admission
       // time counts) plus the request's budgets. Only writer-thread
@@ -1017,13 +1018,15 @@ void Server::WriterLoop() {
             job.deadline_at - Clock::now(), std::chrono::nanoseconds(1));
       }
       writer_guard_.Restart(LimitsFor(job.admission, remaining));
-      ExecuteWrite(job);
+      reply = ExecuteWrite(job);
       obs::MetricsRegistry::Observe(
           options_.obs.metrics, "server.write_exec_us",
           std::chrono::duration_cast<std::chrono::microseconds>(
               Clock::now() - start)
               .count());
     }
+    // Leave the in-flight bookkeeping before the reply does: a client that
+    // holds the acknowledgement must never read this write as queued.
     {
       std::lock_guard<std::mutex> lock(mu_);
       writes_in_flight_ = 0;
@@ -1031,6 +1034,7 @@ void Server::WriterLoop() {
       queue_depth_gauge_->Set(static_cast<int64_t>(write_queue_.size()));
       drained_cv_.notify_all();
     }
+    SendReply(job.conn, job.request_id, reply.type, reply.payload);
     // Wake feed long-polls: the write may have settled new records. The
     // empty lock pairs with the waiter's predicate re-check, so a wakeup
     // cannot be lost between its check and its wait.
@@ -1041,12 +1045,12 @@ void Server::WriterLoop() {
   }
 }
 
-bool Server::CheckDedup(const WriteJob& job) {
-  if (!job.token.present()) return false;
+std::optional<Server::Reply> Server::CheckDedup(const WriteJob& job) {
+  if (!job.token.present()) return std::nullopt;
   DedupResult dedup = db_->LookupCommitToken(job.token);
   switch (dedup.verdict) {
     case DedupVerdict::kFresh:
-      return false;
+      return std::nullopt;
     case DedupVerdict::kDuplicate: {
       // A retry of a write that already committed: answer with the original
       // reply (the version its commit produced), never a second apply —
@@ -1054,52 +1058,43 @@ bool Server::CheckDedup(const WriteJob& job) {
       Count(kDedupHits);
       if (job.kind == WriteJob::Kind::kApply) {
         ApplyReply reply{dedup.version};
-        SendReply(job.conn, job.request_id, FrameType::kApplyOk,
-                  EncodeApplyReply(reply));
-      } else {
-        ProcessReply reply;
-        reply.version = dedup.version;
-        reply.accepted = true;  // only accepted commits are recorded
-        SendReply(job.conn, job.request_id, FrameType::kProcessOk,
-                  EncodeProcessReply(reply));
+        return Reply{FrameType::kApplyOk, EncodeApplyReply(reply)};
       }
-      return true;
+      ProcessReply reply;
+      reply.version = dedup.version;
+      reply.accepted = true;  // only accepted commits are recorded
+      return Reply{FrameType::kProcessOk, EncodeProcessReply(reply)};
     }
     case DedupVerdict::kTooOld:
       // The seq fell out of the bounded window, so committed-vs-not is
       // unknowable — ambiguity must surface, not resolve to a guess.
-      SendWriteError(
-          job.conn, job.request_id,
+      return WriteErrorReply(
           FailedPreconditionError(StrCat(
               "request_seq ", job.token.request_seq, " of client ",
               job.token.client_id,
               " predates the idempotency window; outcome unknown")),
           /*tokened=*/true, /*retryable=*/false);
-      return true;
   }
-  return false;
+  return std::nullopt;
 }
 
-void Server::ExecuteWrite(const WriteJob& job) {
+Server::Reply Server::ExecuteWrite(const WriteJob& job) {
   switch (job.kind) {
     case WriteJob::Kind::kApply: {
-      if (CheckDedup(job)) return;
+      if (std::optional<Reply> dedup = CheckDedup(job)) return *dedup;
       Status applied = db_->Apply(job.transaction, job.token);
       if (!applied.ok()) {
         Count(kWritesRejected);
         NoteCommitHealth();
-        SendWriteError(job.conn, job.request_id, applied,
-                       job.token.present(), /*retryable=*/false);
-        return;
+        return WriteErrorReply(applied, job.token.present(),
+                               /*retryable=*/false);
       }
       Count(kWritesApplied);
       ApplyReply reply{db_->version()};
-      SendReply(job.conn, job.request_id, FrameType::kApplyOk,
-                EncodeApplyReply(reply));
-      return;
+      return Reply{FrameType::kApplyOk, EncodeApplyReply(reply)};
     }
     case WriteJob::Kind::kProcess: {
-      if (CheckDedup(job)) return;
+      if (std::optional<Reply> dedup = CheckDedup(job)) return *dedup;
       UpdateProcessor processor(db_);
       processor.set_commit_token(job.token);
       Result<UpdateProcessor::TransactionReport> report =
@@ -1107,9 +1102,8 @@ void Server::ExecuteWrite(const WriteJob& job) {
       if (!report.ok()) {
         Count(kWritesRejected);
         NoteCommitHealth();
-        SendWriteError(job.conn, job.request_id, report.status(),
-                       job.token.present(), /*retryable=*/false);
-        return;
+        return WriteErrorReply(report.status(), job.token.present(),
+                               /*retryable=*/false);
       }
       ProcessReply reply;
       reply.version = db_->version();
@@ -1120,23 +1114,21 @@ void Server::ExecuteWrite(const WriteJob& job) {
       } else {
         Count(kWritesApplied);
       }
-      SendReply(job.conn, job.request_id, FrameType::kProcessOk,
-                EncodeProcessReply(reply));
-      return;
+      return Reply{FrameType::kProcessOk, EncodeProcessReply(reply)};
     }
     case WriteJob::Kind::kCheckpoint: {
       Status checkpointed = db_->Checkpoint();
       if (!checkpointed.ok()) {
         NoteCommitHealth();
-        SendError(job.conn, job.request_id, checkpointed);
-        return;
+        return WriteErrorReply(checkpointed, /*tokened=*/false,
+                               /*retryable=*/false);
       }
       CheckpointReply reply{db_->version()};
-      SendReply(job.conn, job.request_id, FrameType::kCheckpointOk,
-                EncodeCheckpointReply(reply));
-      return;
+      return Reply{FrameType::kCheckpointOk, EncodeCheckpointReply(reply)};
     }
   }
+  return WriteErrorReply(InternalError("unknown write kind"),
+                         /*tokened=*/false, /*retryable=*/false);
 }
 
 // ---- Response writing -------------------------------------------------------
@@ -1157,20 +1149,22 @@ void Server::SendError(const std::shared_ptr<ConnState>& conn, uint64_t id,
   SendReply(conn, id, FrameType::kError, EncodeErrorReply(reply));
 }
 
-void Server::SendWriteError(const std::shared_ptr<ConnState>& conn,
-                            uint64_t id, const Status& status, bool tokened,
-                            bool retryable) {
-  if (!tokened) {
-    // v1 requester: the bare error frame it knows how to parse.
-    SendError(conn, id, status);
-    return;
-  }
+Server::Reply Server::WriteErrorReply(const Status& status, bool tokened,
+                                      bool retryable) {
   if (IsGuardTrip(status.code())) {
     Count(kGuardTrips);
   }
   ErrorReply reply{status.code(), status.message()};
-  reply.set_retryable(retryable);
-  SendReply(conn, id, FrameType::kError, EncodeErrorReply(reply));
+  // A v1 requester gets the bare error frame it knows how to parse.
+  if (tokened) reply.set_retryable(retryable);
+  return Reply{FrameType::kError, EncodeErrorReply(reply)};
+}
+
+void Server::SendWriteError(const std::shared_ptr<ConnState>& conn,
+                            uint64_t id, const Status& status, bool tokened,
+                            bool retryable) {
+  Reply reply = WriteErrorReply(status, tokened, retryable);
+  SendReply(conn, id, reply.type, reply.payload);
 }
 
 void Server::SendReply(const std::shared_ptr<ConnState>& conn, uint64_t id,

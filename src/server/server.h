@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -223,13 +224,21 @@ class Server {
   /// (bounding the backlog at max_connections) and from Stop().
   void ReapRetiredConnections();
 
-  /// Executes one admitted write on the writer thread.
-  void ExecuteWrite(const WriteJob& job);
+  /// One response frame, built before it is sent.
+  struct Reply {
+    FrameType type = FrameType::kError;
+    std::string payload;
+  };
 
-  /// Idempotency check for tokened Apply/Process jobs. Returns true when
-  /// the job was fully answered here — a dedup hit (original reply resent)
+  /// Executes one admitted write on the writer thread and returns its
+  /// reply. The writer loop sends it only after the write has left the
+  /// in-flight bookkeeping: an acknowledged write is no longer in flight.
+  Reply ExecuteWrite(const WriteJob& job);
+
+  /// Idempotency check for tokened Apply/Process jobs. Returns the reply
+  /// when the job is fully answered here — a dedup hit (the original reply)
   /// or an out-of-window token (typed non-retryable rejection).
-  bool CheckDedup(const WriteJob& job);
+  std::optional<Reply> CheckDedup(const WriteJob& job);
 
   /// Ensures conn->session pins the current commit version; arms the
   /// connection guard from `admission`. Returns the deadline-capped limits'
@@ -242,9 +251,11 @@ class Server {
 
   void SendError(const std::shared_ptr<ConnState>& conn, uint64_t id,
                  const Status& status);
-  /// SendError for the write path: replies to tokened (v2) requests carry
-  /// the explicit retryable hint; untokened requests get the bare v1 error
-  /// frame, so legacy clients never see trailing bytes they cannot parse.
+  /// The error reply of the write path: replies to tokened (v2) requests
+  /// carry the explicit retryable hint; untokened requests get the bare v1
+  /// error frame, so legacy clients never see trailing bytes they cannot
+  /// parse.
+  Reply WriteErrorReply(const Status& status, bool tokened, bool retryable);
   void SendWriteError(const std::shared_ptr<ConnState>& conn, uint64_t id,
                       const Status& status, bool tokened, bool retryable);
   /// Checks the facade's sticky commit health after a failed write and, on

@@ -79,15 +79,6 @@ Status Transaction::Validate(const FactStore& current_state,
   return status;
 }
 
-Transaction Transaction::Inverse() const {
-  Transaction inverse;
-  inserts_.ForEach(
-      [&](SymbolId pred, const Tuple& t) { inverse.deletes_.Add(pred, t); });
-  deletes_.ForEach(
-      [&](SymbolId pred, const Tuple& t) { inverse.inserts_.Add(pred, t); });
-  return inverse;
-}
-
 FactStore Transaction::ApplyTo(const FactStore& current_state) const {
   FactStore new_state = current_state;
   deletes_.ForEach(

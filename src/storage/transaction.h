@@ -19,9 +19,9 @@ namespace deddb {
 /// whose opposite is already present with kInvalidArgument, and re-adding
 /// the same event is idempotent (duplicate normalization). A transaction
 /// containing both `ιQ(C)` and `δQ(C)` therefore cannot exist, so ApplyTo's
-/// deletes-then-inserts order is immaterial, Inverse() is an exact
-/// involution, and replaying a logged transaction can never diverge from
-/// its original application (DESIGN.md §8).
+/// deletes-then-inserts order is immaterial, swapping the two sides is an
+/// exact involution, and replaying a logged transaction can never diverge
+/// from its original application (DESIGN.md §8).
 class Transaction {
  public:
   Transaction() = default;
@@ -62,11 +62,6 @@ class Transaction {
   /// Returns the new state Dⁿ obtained by applying this transaction to
   /// `current_state` (paper §3.1): deletions removed, insertions added.
   FactStore ApplyTo(const FactStore& current_state) const;
-
-  /// The inverse transaction: every insertion becomes a deletion and vice
-  /// versa. Applying the inverse after this transaction restores the prior
-  /// state exactly (the rollback step of UpdateProcessor's atomicity).
-  Transaction Inverse() const;
 
   /// `{ins Q(A), del R(B)}` — sorted for deterministic output.
   std::string ToString(const SymbolTable& symbols) const;

@@ -88,12 +88,6 @@ const char* FaultPointName(FaultPoint point) {
       return "DOWNWARD_EVENT";
     case FaultPoint::kUpwardBody:
       return "UPWARD_BODY";
-    case FaultPoint::kProcessorApplyViews:
-      return "PROCESSOR_APPLY_VIEWS";
-    case FaultPoint::kProcessorApplyBase:
-      return "PROCESSOR_APPLY_BASE";
-    case FaultPoint::kProcessorCommit:
-      return "PROCESSOR_COMMIT";
     case FaultPoint::kEventCompile:
       return "EVENT_COMPILE";
     case FaultPoint::kWalAppend:

@@ -150,9 +150,6 @@ enum class FaultPoint {
   kDnfExpand,             // dnf.cc: during a conjunct product expansion
   kDownwardEvent,         // downward interpreter: DownEvent entry
   kUpwardBody,            // upward interpreter: per-predicate event pass
-  kProcessorApplyViews,   // update processor: before applying view deltas
-  kProcessorApplyBase,    // update processor: between view and base apply
-  kProcessorCommit,       // update processor: after base apply, pre-commit
   kEventCompile,          // event compiler: Compile() entry
   // Persistence sequence points (src/persist/). Each models "the process
   // dies here": the crash-recovery matrix arms one, drives commits until it
@@ -171,7 +168,7 @@ enum class FaultPoint {
   kNetReadFrame,          // transport: before reading a frame header
   kNetWriteFrame,         // transport: before writing an encoded frame
 };
-inline constexpr size_t kNumFaultPoints = 18;
+inline constexpr size_t kNumFaultPoints = 15;
 
 /// Stable name for diagnostics ("EVAL_ROUND_START", ...).
 const char* FaultPointName(FaultPoint point);

@@ -111,5 +111,41 @@ TEST(MaterializedInterplayTest, ProcessorKeepsStoreInLockstep) {
   EXPECT_GT(db->database().materialized_store().Find(p)->size(), 0u);
 }
 
+TEST(MaterializedInterplayTest, ApplyMaintainsMaterializedViews) {
+  // Plain Apply commits through the same path as the processor, minus the
+  // constraint gate: deleting Works(A) must make Unemp(A) hold in the store,
+  // and a later Process that re-inserts Works(A) removes exactly that tuple.
+  DeductiveDatabase db;
+  ASSERT_TRUE(LoadProgram(&db, R"(
+    base La/1. base Works/1.
+    materialized view Unemp/1.
+    Unemp(x) <- La(x) & not Works(x).
+    La(A). La(B). Works(A).
+  )")
+                  .ok());
+  ASSERT_TRUE(db.InitializeMaterializedViews().ok());
+  SymbolId unemp = db.database().FindPredicate("Unemp").value();
+  SymbolId a = db.symbols().Intern("A");
+
+  auto txn = ParseTransaction(&db, "del Works(A)");
+  ASSERT_TRUE(txn.ok());
+  ASSERT_TRUE(db.Apply(*txn).ok());
+  EXPECT_EQ(db.database().materialized_store().Find(unemp)->size(), 2u);
+  auto session = db.BeginSession();
+  ASSERT_TRUE(session.ok());
+  EXPECT_TRUE(
+      (*session)->Holds((*session)->GroundAtom("Unemp", {"A"}).value()).value());
+
+  auto reinsert = ParseTransaction(&db, "ins Works(A)");
+  ASSERT_TRUE(reinsert.ok());
+  UpdateProcessor processor(&db);
+  auto report = processor.ProcessTransaction(*reinsert);
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_TRUE(report->accepted);
+  EXPECT_TRUE(report->views.delta.ContainsDelete(unemp, {a}));
+  EXPECT_EQ(report->views.applied_deletes, 1u);
+  EXPECT_EQ(db.database().materialized_store().Find(unemp)->size(), 1u);
+}
+
 }  // namespace
 }  // namespace deddb

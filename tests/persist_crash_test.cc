@@ -38,11 +38,6 @@ constexpr FaultPoint kMatrixPoints[] = {
     FaultPoint::kWalAppend,      FaultPoint::kWalFsync,
     FaultPoint::kSnapshotWrite,  FaultPoint::kSnapshotFsync,
     FaultPoint::kSnapshotRename, FaultPoint::kWalReset,
-    // Processor points: fail AFTER the commit record is durable, forcing the
-    // rollback + abort-record path that recovery must filter out.
-    FaultPoint::kProcessorApplyViews,
-    FaultPoint::kProcessorApplyBase,
-    FaultPoint::kProcessorCommit,
 };
 constexpr size_t kNumMatrixPoints =
     sizeof(kMatrixPoints) / sizeof(kMatrixPoints[0]);
@@ -68,12 +63,11 @@ std::vector<std::string> Dump(const DeductiveDatabase& db,
   return out;
 }
 
-// The shared schema: P(x) <- Q(x) & not R(x). `materialize` turns on
-// incremental maintenance of P, which only UpdateProcessor performs — so
-// processor-mode seeds materialize (exercising the snapshot's materialized
-// section and replay-through-the-processor) while direct-Apply seeds do not
-// (Apply is documented not to maintain views).
-void DeclareSchema(DeductiveDatabase* db, bool materialize) {
+// The shared schema: P(x) <- Q(x) & not R(x), with P materialized. Every
+// commit maintains P incrementally (Apply and UpdateProcessor alike), so
+// every seed exercises the snapshot's materialized section and the view
+// delta re-derived on replay.
+void DeclareSchema(DeductiveDatabase* db) {
   ASSERT_TRUE(db->DeclareBase("Q", 1).ok());
   ASSERT_TRUE(db->DeclareBase("R", 1).ok());
   Result<SymbolId> p = db->DeclareView("P", 1);
@@ -84,10 +78,8 @@ void DeclareSchema(DeductiveDatabase* db, bool materialize) {
                        {Literal::Positive(db->MakeAtom("Q", {x}).value()),
                         Literal::Negative(db->MakeAtom("R", {x}).value())}))
           .ok());
-  if (materialize) {
-    ASSERT_TRUE(db->MaterializeView(*p).ok());
-    ASSERT_TRUE(db->InitializeMaterializedViews().ok());
-  }
+  ASSERT_TRUE(db->MaterializeView(*p).ok());
+  ASSERT_TRUE(db->InitializeMaterializedViews().ok());
 }
 
 // Canonical image of a base-fact set as (pred idx, const idx) pairs,
@@ -152,14 +144,14 @@ void RunSeed(uint64_t seed, bool with_readers = false) {
   Rng rng(seed * 0x9E3779B97F4A7C15ull + 1);
 
   {
-    // Processor-mode seeds maintain a materialized view and commit through
-    // UpdateProcessor; direct-mode seeds commit through Apply (kDirect).
+    // Processor-mode seeds commit through UpdateProcessor (kProcessor);
+    // direct-mode seeds commit through Apply (kDirect).
     const bool via_processor = rng.NextChance(1, 2);
 
     auto opened = DeductiveDatabase::OpenPersistent(dir);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     std::unique_ptr<DeductiveDatabase> db = std::move(*opened);
-    DeclareSchema(db.get(), via_processor);
+    DeclareSchema(db.get());
     ASSERT_TRUE(db->Checkpoint().ok());
 
     // `mirror` tracks the base facts so random transactions can be built
@@ -242,11 +234,11 @@ void RunSeed(uint64_t seed, bool with_readers = false) {
         prefix_images.insert(ImageOfMirror(mirror));
       } else {
         crashed = true;  // the armed fault fired; stop and "crash"
-        // The pipelined Apply applies in memory before confirming
-        // durability, so post-crash readers may legitimately observe the
-        // final, never-acknowledged transaction (recovery below proves it
-        // does not survive the crash).
-        if (!via_processor) prefix_images.insert(ImageOfMirror(cur));
+        // Every commit applies in memory before confirming durability, so
+        // post-crash readers may legitimately observe the final, never-
+        // acknowledged transaction (recovery below proves it does not
+        // survive the crash).
+        prefix_images.insert(ImageOfMirror(cur));
       }
     }
     FaultInjector::Instance().Disarm();
@@ -272,7 +264,7 @@ void RunSeed(uint64_t seed, bool with_readers = false) {
     // Build the committed-prefix oracle: the acked transactions replayed
     // through the same apply path on an in-memory twin.
     DeductiveDatabase oracle;
-    DeclareSchema(&oracle, via_processor);
+    DeclareSchema(&oracle);
     for (const std::vector<Event>& events : acked_txns) {
       Transaction twin;
       for (const auto& [p, c, insert] : events) {
@@ -301,16 +293,15 @@ void RunSeed(uint64_t seed, bool with_readers = false) {
     // 1. Recovered EDB == the committed prefix.
     EXPECT_EQ(Dump(*recovered, recovered->database().facts()),
               Dump(oracle, oracle.database().facts()));
-    // 2. Recovered materialized IDB == the oracle's (empty in direct mode:
-    // Apply does not maintain views).
+    // 2. Recovered materialized IDB == the oracle's.
     EXPECT_EQ(Dump(*recovered, recovered->database().materialized_store()),
               Dump(oracle, oracle.database().materialized_store()));
-    // 3. Processor mode: the recovered materialized IDB is exactly the
-    // derivation of the recovered EDB — rebuild from the recovered base
-    // facts alone and re-derive P from scratch.
-    if (via_processor) {
+    // 3. The recovered materialized IDB is exactly the derivation of the
+    // recovered EDB — rebuild from the recovered base facts alone and
+    // re-derive P from scratch.
+    {
       DeductiveDatabase rebuilt;
-      DeclareSchema(&rebuilt, true);
+      DeclareSchema(&rebuilt);
       Transaction all;
       recovered->database().facts().ForEach([&](SymbolId pred,
                                                 const Tuple& t) {

@@ -201,27 +201,36 @@ TEST_F(PersistRecoveryTest, CheckpointCompactsTheLogAndPreservesState) {
   }
 }
 
+// The engine no longer writes abort records, but logs written before
+// rollbacks were retired may carry one; both readers must still honour it.
 TEST_F(PersistRecoveryTest, AbortedCommitIsFilteredOnRecovery) {
+  uint64_t base = 0;
   {
     auto db = DeductiveDatabase::OpenPersistent(dir_).value();
     DeclareEmployment(db.get());
     ASSERT_TRUE(db->Checkpoint().ok());
+    base = db->persistence()->stats().last_seq;
     ASSERT_TRUE(db->Apply(Insert(db.get(), "La", {"Dolors"})).ok());
-
-    // Force a post-logging apply failure: the commit record is durable
-    // before kProcessorApplyBase fires, so the processor rolls back in
-    // memory and writes an abort record.
     UpdateProcessor processor(db.get());
-    FaultInjector::Instance().Arm(FaultPoint::kProcessorCommit, 1,
-                                  InternalError("injected crash"));
     auto report = processor.ProcessTransaction(
         Insert(db.get(), "La", {"Joan"}));
-    FaultInjector::Instance().Disarm();
-    ASSERT_FALSE(report.ok());
-    EXPECT_FALSE(db->database().facts().Contains(
-        db->database().FindPredicate("La").value(),
-        {db->symbols().Intern("Joan")}));
-    EXPECT_EQ(db->persistence()->stats().aborts_logged, 1u);
+    ASSERT_TRUE(report.ok() && report->accepted);
+    // Dropped without Close(): the log keeps both commit records.
+  }
+  {
+    // Append the abort record an old engine wrote when it rolled Joan's
+    // commit back, exactly as it framed one.
+    const std::string wal = StrCat(dir_, "/wal.deddb");
+    struct stat st;
+    ASSERT_EQ(::stat(wal.c_str(), &st), 0);
+    auto writer = persist::WalWriter::OpenForAppend(
+        wal, static_cast<uint64_t>(st.st_size), {});
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    ASSERT_TRUE((*writer)
+                    ->AppendDurable(persist::EncodeAbortPayload(base + 3,
+                                                                base + 2),
+                                    {})
+                    .ok());
   }
   auto db = DeductiveDatabase::OpenPersistent(dir_).value();
   // The aborted commit does not resurrect.
@@ -229,36 +238,54 @@ TEST_F(PersistRecoveryTest, AbortedCommitIsFilteredOnRecovery) {
   EXPECT_FALSE(db->database().facts().Contains(
       db->database().FindPredicate("La").value(),
       {db->symbols().Intern("Joan")}));
+  // Nor does the feed ship it: reading from before the retained window
+  // takes the log-file path, which drops the voided commit and the marker.
+  Result<persist::PersistenceManager::FeedBatch> batch =
+      db->persistence()->ReadFeedRecords(base, 0, 0);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_EQ(batch->records.size(), 1u);
+  EXPECT_EQ(batch->records[0].seq, base + 1);
+  EXPECT_EQ(batch->last_durable_seq, base + 3);
 }
 
 // Reviewer-found replication bug: PrepareCommit used to stage the commit
-// record into the retained feed window unconditionally, so a failed flush on
-// the processor path (which, unlike Apply, does not poison the facade — the
-// writer self-heals and the stores are untouched) left a phantom staged;
-// the next successful commit then raised the settled horizon past it and the
-// feed shipped a transaction the primary never applied and whose bytes were
-// truncated from the log.
+// record into the retained feed window unconditionally, so a failed flush
+// that left the committer able to go on (the writer self-heals) left a
+// phantom staged; the next successful commit then raised the settled
+// horizon past it and the feed shipped a transaction the primary never
+// applied and whose bytes were truncated from the log. The facade now
+// poisons itself on any failed flush, so the manager is driven directly.
 TEST_F(PersistRecoveryTest, FailedFlushNeverFeedsPhantomRecord) {
-  auto db = DeductiveDatabase::OpenPersistent(dir_).value();
-  DeclareEmployment(db.get());
-  ASSERT_TRUE(db->Checkpoint().ok());
-  const uint64_t base = db->persistence()->stats().last_seq;
-  ASSERT_TRUE(db->Apply(Insert(db.get(), "La", {"Dolors"})).ok());
-
-  UpdateProcessor processor(db.get());
+  auto manager =
+      persist::PersistenceManager::Open(dir_, {}).value();
+  SymbolTable symbols;
+  ASSERT_TRUE(manager->OpenLogForAppend().ok());
+  const uint64_t base = manager->stats().last_seq;
+  auto commit = [&](const char* person) -> Status {
+    Transaction txn;
+    EXPECT_TRUE(txn.AddInsert(symbols.Intern("La"),
+                              Tuple{symbols.Intern(person)})
+                    .ok());
+    DEDDB_ASSIGN_OR_RETURN(
+        persist::PersistenceManager::PreparedCommit prepared,
+        manager->PrepareCommit(txn, persist::CommitOrigin::kDirect, symbols,
+                               {}));
+    DEDDB_RETURN_IF_ERROR(manager->WaitCommitDurable(prepared, {}));
+    manager->SettleCommit(prepared.seq);
+    return Status::Ok();
+  };
+  ASSERT_TRUE(commit("Dolors").ok());
   FaultInjector::Instance().Arm(FaultPoint::kWalFsync, 1,
                                 InternalError("injected fsync failure"));
-  auto report = processor.ProcessTransaction(Insert(db.get(), "La", {"Joan"}));
+  Status failed = commit("Joan");
   FaultInjector::Instance().Disarm();
-  ASSERT_FALSE(report.ok());
-  // Not poisoned: the stores are untouched and the writer self-healed, so
-  // the facade keeps committing — which is exactly what makes a lingering
-  // phantom shippable.
-  ASSERT_TRUE(db->commit_health().ok());
-  ASSERT_TRUE(db->Apply(Insert(db.get(), "La", {"Pau"})).ok());
+  ASSERT_FALSE(failed.ok());
+  // The writer self-healed, so the log keeps accepting commits — which is
+  // exactly what makes a lingering phantom shippable.
+  ASSERT_TRUE(commit("Pau").ok());
 
   Result<persist::PersistenceManager::FeedBatch> batch =
-      db->persistence()->ReadFeedRecords(base, 0, 0);
+      manager->ReadFeedRecords(base, 0, 0);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   // Dolors and Pau ship; the never-durable commit between them must not —
   // its sequence number is a permanent gap, matching what recovery replays.

@@ -173,8 +173,8 @@ TEST(FaultInjectorTest, TriggersAtTheConfiguredPokeAndStaysSticky) {
 TEST(FaultInjectorTest, FaultPointNamesAreStable) {
   EXPECT_STREQ(FaultPointName(FaultPoint::kEvalRoundStart),
                "EVAL_ROUND_START");
-  EXPECT_STREQ(FaultPointName(FaultPoint::kProcessorCommit),
-               "PROCESSOR_COMMIT");
+  EXPECT_STREQ(FaultPointName(FaultPoint::kNetWriteFrame),
+               "NET_WRITE_FRAME");
 }
 
 // ---------------------------------------------------------------------------
@@ -455,7 +455,9 @@ TEST(GuardedFacadeTest, DnfTermBudgetCapsDownwardExpansion) {
 }
 
 // ---------------------------------------------------------------------------
-// FaultInjector-driven unwind and rollback.
+// FaultInjector-driven unwind. A commit computes everything that can fail —
+// the upward pass — before its first mutation, so there is nothing to roll
+// back: a fault there must leave the database untouched.
 
 class ProcessorRollbackTest : public ::testing::Test {
  protected:
@@ -501,18 +503,6 @@ class ProcessorRollbackTest : public ::testing::Test {
   std::unique_ptr<UpdateProcessor> processor_;
   std::unique_ptr<Transaction> txn_;
 };
-
-TEST_F(ProcessorRollbackTest, FaultBeforeViewApplyRollsBack) {
-  ExpectRollbackAt(FaultPoint::kProcessorApplyViews);
-}
-
-TEST_F(ProcessorRollbackTest, FaultBetweenViewAndBaseApplyRollsBack) {
-  ExpectRollbackAt(FaultPoint::kProcessorApplyBase);
-}
-
-TEST_F(ProcessorRollbackTest, FaultAtCommitRollsBackBaseAndViews) {
-  ExpectRollbackAt(FaultPoint::kProcessorCommit);
-}
 
 TEST_F(ProcessorRollbackTest, UpwardFaultFailsBeforeAnyMutation) {
   ExpectRollbackAt(FaultPoint::kUpwardBody);

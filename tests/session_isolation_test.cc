@@ -1,9 +1,9 @@
 // Targeted snapshot-isolation scenarios for the session layer (DESIGN.md
 // §9), complementing the randomized suite in session_history_test.cc:
 // snapshots pinned across Checkpoint(), sessions outliving rule updates
-// (keeping their compiled event machinery), reads across an
-// ApplyAtomically rollback, the sticky commit-health failure when a commit
-// is applied in memory but its log record never becomes durable, and
+// (keeping their compiled event machinery), the sticky commit-health
+// failure when a commit (Apply or Process) is applied in memory but its log
+// record never becomes durable, and
 // epoch-based reclamation of retired snapshot versions observed through the
 // session.* metrics.
 
@@ -174,95 +174,79 @@ TEST_F(SessionIsolationTest, SessionOutlivesRuleUpdateWithItsCompiledRules) {
   EXPECT_FALSE(new_events->ContainsInsert(p, Tuple{a}));
 }
 
-TEST_F(SessionIsolationTest, ReadsAreUndisturbedByAnApplyAtomicallyRollback) {
-  DeductiveDatabase db;
-  DeclareSchema(&db, /*materialize=*/true);
-  {
-    UpdateProcessor processor(&db);
-    auto report = processor.ProcessTransaction(InsertOf(&db, "Q", "a"));
-    ASSERT_TRUE(report.ok() && report->accepted);
-  }
-  auto session = db.BeginSession();
-  ASSERT_TRUE(session.ok());
-  const uint64_t pinned_version = (*session)->version();
-
-  // Force the processor's commit poke to fail AFTER the view delta and the
-  // base delta applied, driving the full rollback path.
-  FaultInjector::Instance().Arm(FaultPoint::kProcessorCommit, 1,
-                                InternalError("injected commit failure"));
-  {
-    UpdateProcessor processor(&db);
-    auto report = processor.ProcessTransaction(InsertOf(&db, "Q", "b"));
-    EXPECT_FALSE(report.ok());
-  }
-  FaultInjector::Instance().Disarm();
-
-  // The pinned session is untouched, and a fresh session sees the rolled-
-  // back state — identical facts, even though versions advanced.
-  Atom qa = (*session)->GroundAtom("Q", {"a"}).value();
-  Atom qb = (*session)->GroundAtom("Q", {"b"}).value();
-  Atom pa = (*session)->GroundAtom("P", {"a"}).value();
-  EXPECT_TRUE((*session)->Holds(qa).value());
-  EXPECT_FALSE((*session)->Holds(qb).value());
-  EXPECT_TRUE((*session)->Holds(pa).value());
-  EXPECT_EQ((*session)->version(), pinned_version);
-
-  auto fresh = db.BeginSession();
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_TRUE((*fresh)->Holds(qa).value());
-  EXPECT_FALSE((*fresh)->Holds(qb).value());
-  EXPECT_TRUE((*fresh)->Holds(pa).value());
+// Commits `Q(constant)` through Apply or through the update processor.
+Status CommitInsert(DeductiveDatabase* db, bool via_processor,
+                    std::string_view constant) {
+  Transaction txn = InsertOf(db, "Q", constant);
+  if (!via_processor) return db->Apply(txn);
+  UpdateProcessor processor(db);
+  Result<UpdateProcessor::TransactionReport> report =
+      processor.ProcessTransaction(txn);
+  if (!report.ok()) return report.status();
+  return report->accepted ? Status::Ok()
+                          : FailedPreconditionError("rejected");
 }
 
 TEST_F(SessionIsolationTest, NonDurableCommitPoisonsTheWriterButNotReaders) {
-  std::string dir = TempDirFor("poison");
-  {
-    auto opened = DeductiveDatabase::OpenPersistent(dir);
-    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    std::unique_ptr<DeductiveDatabase> db = std::move(*opened);
-    DeclareSchema(db.get());
-    ASSERT_TRUE(db->Checkpoint().ok());
-    ASSERT_TRUE(db->Apply(InsertOf(db.get(), "Q", "a")).ok());
+  // Apply and Process share one commit path: stage the record, apply in
+  // memory (the materialized P included), then wait for durability. An
+  // injected fsync failure there must poison the facade either way.
+  for (const bool via_processor : {false, true}) {
+    SCOPED_TRACE(via_processor ? "Process" : "Apply");
+    std::string dir = TempDirFor("poison");
+    {
+      auto opened = DeductiveDatabase::OpenPersistent(dir);
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      std::unique_ptr<DeductiveDatabase> db = std::move(*opened);
+      DeclareSchema(db.get(), /*materialize=*/true);
+      ASSERT_TRUE(db->Checkpoint().ok());
+      ASSERT_TRUE(CommitInsert(db.get(), via_processor, "a").ok());
 
-    auto session = db->BeginSession();
-    ASSERT_TRUE(session.ok());
+      auto session = db->BeginSession();
+      ASSERT_TRUE(session.ok());
 
-    // The pipelined Apply stages the record, applies in memory, then waits
-    // for durability; an injected fsync failure there must poison the
-    // facade ("applied in memory but not durable").
-    FaultInjector::Instance().Arm(FaultPoint::kWalFsync, 1,
-                                  InternalError("injected fsync failure"));
-    Status poisoned = db->Apply(InsertOf(db.get(), "Q", "b"));
-    FaultInjector::Instance().Disarm();
-    ASSERT_FALSE(poisoned.ok());
-    EXPECT_NE(poisoned.ToString().find("not durable"), std::string::npos)
-        << poisoned.ToString();
+      FaultInjector::Instance().Arm(FaultPoint::kWalFsync, 1,
+                                    InternalError("injected fsync failure"));
+      Status poisoned = CommitInsert(db.get(), via_processor, "b");
+      FaultInjector::Instance().Disarm();
+      ASSERT_FALSE(poisoned.ok());
+      EXPECT_NE(poisoned.ToString().find("not durable"), std::string::npos)
+          << poisoned.ToString();
 
-    // Every further commit and checkpoint reports the sticky failure…
-    EXPECT_FALSE(db->Apply(InsertOf(db.get(), "Q", "c")).ok());
-    EXPECT_FALSE(db->Checkpoint().ok());
-    // …but reads stay available: the old session answers its snapshot, and
-    // new sessions can still be begun over the in-memory state.
-    Atom qa = (*session)->GroundAtom("Q", {"a"}).value();
-    Atom qb = (*session)->GroundAtom("Q", {"b"}).value();
-    EXPECT_TRUE((*session)->Holds(qa).value());
-    EXPECT_FALSE((*session)->Holds(qb).value());
-    auto fresh = db->BeginSession();
-    ASSERT_TRUE(fresh.ok());
-    EXPECT_TRUE((*fresh)->Holds(qb).value());  // applied in memory
-    EXPECT_FALSE(db->Close().ok());            // Close reports the poison too
+      // Every further commit and checkpoint reports the sticky failure…
+      EXPECT_FALSE(CommitInsert(db.get(), via_processor, "c").ok());
+      EXPECT_FALSE(db->Checkpoint().ok());
+      // …but reads stay available: the old session answers its snapshot,
+      // and new sessions can still be begun over the in-memory state, where
+      // the view store moved with the base facts.
+      Atom qa = (*session)->GroundAtom("Q", {"a"}).value();
+      Atom qb = (*session)->GroundAtom("Q", {"b"}).value();
+      Atom pb = (*session)->GroundAtom("P", {"b"}).value();
+      EXPECT_TRUE((*session)->Holds(qa).value());
+      EXPECT_FALSE((*session)->Holds(qb).value());
+      EXPECT_FALSE((*session)->Holds(pb).value());
+      auto fresh = db->BeginSession();
+      ASSERT_TRUE(fresh.ok());
+      EXPECT_TRUE((*fresh)->Holds(qb).value());  // applied in memory
+      EXPECT_TRUE((*fresh)->Holds(pb).value());
+      EXPECT_FALSE(db->Close().ok());  // Close reports the poison too
+    }
+    // Recovery re-converges with the log: the acknowledged commit survives,
+    // the never-durable one is gone, from the base facts and the view store.
+    auto reopened = DeductiveDatabase::OpenPersistent(dir);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    const Database& recovered = (*reopened)->database();
+    SymbolId q = recovered.FindPredicate("Q").value();
+    SymbolId p = recovered.FindPredicate("P").value();
+    SymbolId a = (*reopened)->symbols().Intern("a");
+    SymbolId b = (*reopened)->symbols().Intern("b");
+    EXPECT_TRUE(recovered.facts().Contains(q, Tuple{a}));
+    EXPECT_TRUE(recovered.materialized_store().Contains(p, Tuple{a}));
+    EXPECT_FALSE(recovered.facts().Contains(q, Tuple{b}));
+    EXPECT_FALSE(recovered.materialized_store().Contains(p, Tuple{b}));
+    reopened->reset();
+    ASSERT_EQ(std::system(StrCat("rm -rf ", dir).c_str()), 0);
   }
-  // Recovery re-converges with the log: the acknowledged commit survives,
-  // the never-durable one is gone.
-  auto reopened = DeductiveDatabase::OpenPersistent(dir);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  Atom qa = (*reopened)->GroundAtom("Q", {"a"}).value();
-  Atom qb = (*reopened)->GroundAtom("Q", {"b"}).value();
-  EXPECT_TRUE((*reopened)->database().facts().Contains(
-      qa.predicate(), Tuple{qa.args()[0].constant()}));
-  EXPECT_FALSE((*reopened)->database().facts().Contains(
-      qb.predicate(), Tuple{qb.args()[0].constant()}));
-  ASSERT_EQ(std::system(StrCat("rm -rf ", dir).c_str()), 0);
 }
 
 TEST_F(SessionIsolationTest, SameVersionSessionsShareOneSnapshot) {
