@@ -1,7 +1,8 @@
 // Targeted snapshot-isolation scenarios for the session layer (DESIGN.md
 // §9), complementing the randomized suite in session_history_test.cc:
 // snapshots pinned across Checkpoint(), sessions outliving rule updates
-// (keeping their compiled event machinery), the sticky commit-health
+// (keeping their compiled event machinery), reads across a Process commit
+// that fails before it mutates anything, the sticky commit-health
 // failure when a commit (Apply or Process) is applied in memory but its log
 // record never becomes durable, and
 // epoch-based reclamation of retired snapshot versions observed through the
@@ -172,6 +173,61 @@ TEST_F(SessionIsolationTest, SessionOutlivesRuleUpdateWithItsCompiledRules) {
   auto new_events = (*fresh)->InducedEvents(insert_r);
   ASSERT_TRUE(new_events.ok()) << new_events.status().ToString();
   EXPECT_FALSE(new_events->ContainsInsert(p, Tuple{a}));
+}
+
+// A Process commit that fails mid-pipeline no longer needs an
+// ApplyAtomically rollback: its only failure point left (the upward pass)
+// comes before the first mutation. Readers must still see nothing of it.
+TEST_F(SessionIsolationTest, ReadsAreUndisturbedByAnApplyAtomicallyRollback) {
+  DeductiveDatabase db;
+  DeclareSchema(&db, /*materialize=*/true);
+  {
+    UpdateProcessor processor(&db);
+    auto report = processor.ProcessTransaction(InsertOf(&db, "Q", "a"));
+    ASSERT_TRUE(report.ok() && report->accepted);
+  }
+  auto session = db.BeginSession();
+  ASSERT_TRUE(session.ok());
+  const uint64_t pinned_version = (*session)->version();
+
+  FaultInjector::Instance().Arm(FaultPoint::kUpwardBody, 1,
+                                InternalError("injected upward failure"));
+  {
+    UpdateProcessor processor(&db);
+    auto report = processor.ProcessTransaction(InsertOf(&db, "Q", "b"));
+    EXPECT_FALSE(report.ok());
+  }
+  EXPECT_GE(FaultInjector::Instance().HitCount(FaultPoint::kUpwardBody), 1u);
+  FaultInjector::Instance().Disarm();
+
+  // The pinned session is untouched, and a fresh session sees the state
+  // before the failed commit, the materialized P included.
+  Atom qa = (*session)->GroundAtom("Q", {"a"}).value();
+  Atom qb = (*session)->GroundAtom("Q", {"b"}).value();
+  Atom pa = (*session)->GroundAtom("P", {"a"}).value();
+  Atom pb = (*session)->GroundAtom("P", {"b"}).value();
+  EXPECT_TRUE((*session)->Holds(qa).value());
+  EXPECT_FALSE((*session)->Holds(qb).value());
+  EXPECT_TRUE((*session)->Holds(pa).value());
+  EXPECT_EQ((*session)->version(), pinned_version);
+
+  auto fresh = db.BeginSession();
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_TRUE((*fresh)->Holds(qa).value());
+  EXPECT_FALSE((*fresh)->Holds(qb).value());
+  EXPECT_TRUE((*fresh)->Holds(pa).value());
+  EXPECT_FALSE((*fresh)->Holds(pb).value());
+
+  // The failure poisons nothing: the same commit goes through on retry.
+  {
+    UpdateProcessor processor(&db);
+    auto report = processor.ProcessTransaction(InsertOf(&db, "Q", "b"));
+    ASSERT_TRUE(report.ok() && report->accepted);
+  }
+  auto after = db.BeginSession();
+  ASSERT_TRUE(after.ok());
+  EXPECT_TRUE((*after)->Holds(qb).value());
+  EXPECT_TRUE((*after)->Holds(pb).value());
 }
 
 // Commits `Q(constant)` through Apply or through the update processor.
