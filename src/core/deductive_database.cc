@@ -1,6 +1,5 @@
 #include "core/deductive_database.h"
 
-#include <algorithm>
 #include <chrono>
 
 #include "core/update_processor.h"
@@ -41,32 +40,32 @@ Result<std::unique_ptr<Session>> DeductiveDatabase::BeginSession() {
   if (snapshot_cache_ != nullptr && snapshot_cache_->version == version_) {
     state = snapshot_cache_;  // same committed state: share the snapshot
   } else {
-    auto fresh = std::make_shared<SessionState>();
+    auto fresh = std::make_shared<SessionState>(session_registry_);
     fresh->version = version_;
     fresh->db = db_.CloneSnapshot();
     fresh->extra_domain_constants = extra_domain_constants_;
-    if (compiled_.has_value()) {
-      // The clone's predicate table already carries the variants this
-      // compilation registered, so the copy is consistent with it.
-      fresh->compiled = *compiled_;
+    if (compiled_ != nullptr) {
+      // Shared, not copied: the clone's predicate table already carries the
+      // variants this compilation registered.
+      fresh->compiled = compiled_;
     } else {
       // Compile on the clone, pre-publication: variant registration mutates
-      // the clone's predicate table, which no session shares yet. The
-      // owner's sinks stay out of it (a later session would replay nothing).
+      // the clone's predicate table, which no session shares yet (the live
+      // table is the writer's). The owner's sinks stay out of it (a later
+      // session would replay nothing).
       EventCompilerOptions options = compiler_options_;
       options.obs = {};
       EventCompiler compiler(fresh->db.get(), options);
       Result<CompiledEvents> compiled = compiler.Compile();
       if (compiled.ok()) {
-        fresh->compiled = std::move(*compiled);
+        fresh->compiled =
+            std::make_shared<const CompiledEvents>(std::move(*compiled));
       } else {
         // Not fatal: queries don't need event rules. Session methods that
         // do will report this status.
         fresh->compile_status = compiled.status();
       }
     }
-    ReclaimSessionEpochsLocked();
-    epochs_.emplace_back(version_, fresh);
     snapshot_cache_ = fresh;
     state = std::move(fresh);
     obs::MetricsRegistry::Add(obs.metrics, "session.snapshots_created");
@@ -80,43 +79,15 @@ Result<std::unique_ptr<Session>> DeductiveDatabase::BeginSession() {
   downward.eval.obs = {};
   downward.eval.guard = nullptr;
   auto session = std::unique_ptr<Session>(
-      new Session(std::move(state), session_registry_, upward, downward));
+      new Session(std::move(state), upward, downward));
   obs::MetricsRegistry::Add(obs.metrics, "session.begun");
   obs::MetricsRegistry::Set(
       obs.metrics, "session.active",
       static_cast<int64_t>(
           session_registry_->active.load(std::memory_order_relaxed)));
   obs::MetricsRegistry::Set(obs.metrics, "session.live_versions",
-                            static_cast<int64_t>(epochs_.size()));
+                            static_cast<int64_t>(live_session_versions()));
   return session;
-}
-
-size_t DeductiveDatabase::ReclaimSessionEpochsLocked() {
-  const size_t before = epochs_.size();
-  epochs_.erase(
-      std::remove_if(epochs_.begin(), epochs_.end(),
-                     [](const auto& entry) { return entry.second.expired(); }),
-      epochs_.end());
-  const size_t reclaimed = before - epochs_.size();
-  if (reclaimed > 0) {
-    versions_reclaimed_ += reclaimed;
-    const obs::ObsContext obs = observability();
-    obs::MetricsRegistry::Add(obs.metrics, "session.versions_reclaimed",
-                              reclaimed);
-    obs::MetricsRegistry::Set(obs.metrics, "session.live_versions",
-                              static_cast<int64_t>(epochs_.size()));
-  }
-  return reclaimed;
-}
-
-size_t DeductiveDatabase::ReclaimSessionEpochs() {
-  std::lock_guard<std::mutex> lock(commit_mu_);
-  return ReclaimSessionEpochsLocked();
-}
-
-size_t DeductiveDatabase::live_session_versions() const {
-  std::lock_guard<std::mutex> lock(commit_mu_);
-  return epochs_.size();
 }
 
 uint64_t DeductiveDatabase::version() const {
@@ -207,9 +178,9 @@ Status DeductiveDatabase::EnterReplicaMode() {
   if (persistence_ != nullptr) {
     // Seeded from a copied primary checkpoint: the replay cursor starts at
     // the recovered sequence. The manager is dropped without a checkpoint —
-    // a replica never writes locally, and its sequence numbers are the
-    // primary's, which local logging could not reproduce (aborted sequences
-    // leave gaps a local LogCommit would re-use).
+    // a replica never writes locally. Its commits carry the primary's
+    // sequence numbers, which the applied cursor tracks; a local
+    // PrepareCommit would number the replayed commits itself instead.
     replica_applied_seq_.store(persistence_->stats().last_seq,
                                std::memory_order_release);
     persistence_.reset();
@@ -347,14 +318,7 @@ Term DeductiveDatabase::Variable(std::string_view name) {
 
 Result<Atom> DeductiveDatabase::MakeAtom(std::string_view predicate,
                                          std::vector<Term> args) {
-  DEDDB_ASSIGN_OR_RETURN(SymbolId pred, db_.FindPredicate(predicate));
-  DEDDB_ASSIGN_OR_RETURN(PredicateInfo info, db_.predicates().Get(pred));
-  if (info.arity != args.size()) {
-    return InvalidArgumentError(
-        StrCat("predicate '", predicate, "' has arity ", info.arity, ", got ",
-               args.size(), " arguments"));
-  }
-  return Atom(pred, std::move(args));
+  return MakeAtomIn(db_, predicate, std::move(args));
 }
 
 Result<Atom> DeductiveDatabase::GroundAtom(
@@ -565,12 +529,13 @@ Result<const CompiledEvents*> DeductiveDatabase::Compiled() {
 }
 
 Result<const CompiledEvents*> DeductiveDatabase::CompiledLocked() {
-  if (!compiled_.has_value()) {
+  if (compiled_ == nullptr) {
+    // A failed compile stays uncached, so the next call retries.
     EventCompiler compiler(&db_, compiler_options_);
     DEDDB_ASSIGN_OR_RETURN(CompiledEvents compiled, compiler.Compile());
-    compiled_ = std::move(compiled);
+    compiled_ = std::make_shared<const CompiledEvents>(std::move(compiled));
   }
-  return &*compiled_;
+  return compiled_.get();
 }
 
 Result<const ActiveDomain*> DeductiveDatabase::Domain() {

@@ -129,23 +129,21 @@ class DeductiveDatabase {
   /// state. The session can run queries and upward/downward interpretation
   /// concurrently with other sessions and with this facade's writer methods;
   /// it never sees later commits. Sessions begun at the same version share
-  /// one snapshot (the clone is cached until the next mutation). The facade
-  /// must outlive the session.
+  /// one snapshot (the clone is cached until the next mutation), and every
+  /// snapshot shares the head's event compilation while the rule set stays
+  /// the same. The facade must outlive the session.
   Result<std::unique_ptr<Session>> BeginSession();
-
-  /// Drops registry entries for retired snapshot versions no session pins
-  /// anymore and returns how many were reclaimed (their storage was already
-  /// freed when the last session released it; this trims the bookkeeping
-  /// and refreshes the session.* gauges).
-  size_t ReclaimSessionEpochs();
 
   /// Number of live sessions (racy by nature; exact between joins).
   uint64_t active_sessions() const {
     return session_registry_->active.load(std::memory_order_relaxed);
   }
 
-  /// Number of snapshot versions still tracked (pinned or not yet reclaimed).
-  size_t live_session_versions() const;
+  /// Number of snapshot versions still held by a session or by the
+  /// snapshot cache; a version leaves the count when its last holder lets go.
+  uint64_t live_session_versions() const {
+    return session_registry_->live_versions.load(std::memory_order_relaxed);
+  }
 
   /// The current commit version: bumped by every mutation (schema, rules,
   /// facts, view store). Sessions report the version they pinned.
@@ -208,7 +206,8 @@ class DeductiveDatabase {
 
   // ---- Event machinery ----------------------------------------------------
 
-  /// The compiled transition/event rules (recompiled after schema changes).
+  /// The compiled transition/event rules (recompiled after schema or rule
+  /// changes; the pointer is valid until then).
   Result<const CompiledEvents*> Compiled();
 
   /// The active domain snapshot (rebuilt after fact changes). Extra
@@ -379,9 +378,6 @@ class DeductiveDatabase {
     snapshot_cache_.reset();
   }
 
-  /// Prunes expired snapshot registrations; commit_mu_ held.
-  size_t ReclaimSessionEpochsLocked();
-
   /// Compiled() with commit_mu_ already held — the commit hook needs the
   /// event rules mid-commit and the lock is non-recursive.
   Result<const CompiledEvents*> CompiledLocked();
@@ -410,7 +406,9 @@ class DeductiveDatabase {
   EventCompilerOptions compiler_options_;
   UpwardOptions upward_options_;
   DownwardOptions downward_options_;
-  std::optional<CompiledEvents> compiled_;
+  // The one compilation of the current rule set, shared by the commit path,
+  // the facade's reads, UpdateProcessor and every session pinned under it.
+  std::shared_ptr<const CompiledEvents> compiled_;
   std::optional<ActiveDomain> domain_;
   std::vector<SymbolId> extra_domain_constants_;
   // Cached result of IsConsistent(); invalidated by any fact or rule
@@ -428,10 +426,6 @@ class DeductiveDatabase {
   uint64_t version_ = 0;
   // The snapshot for version_, if some session already paid for the clone.
   std::shared_ptr<const SessionState> snapshot_cache_;
-  // One entry per snapshot version handed out, weak so readers retiring a
-  // version is observable (epoch-based reclamation).
-  std::vector<std::pair<uint64_t, std::weak_ptr<const SessionState>>> epochs_;
-  uint64_t versions_reclaimed_ = 0;
   std::shared_ptr<SessionRegistry> session_registry_ =
       std::make_shared<SessionRegistry>();
   // Sticky failure set when a commit was applied in memory but its log

@@ -4,21 +4,41 @@
 
 namespace deddb {
 
+SessionState::SessionState(std::shared_ptr<SessionRegistry> owner)
+    : registry(std::move(owner)) {
+  registry->live_versions.fetch_add(1, std::memory_order_relaxed);
+}
+
+SessionState::~SessionState() {
+  // No metrics here, for the reason ~Session gives.
+  registry->live_versions.fetch_sub(1, std::memory_order_relaxed);
+}
+
+Result<Atom> MakeAtomIn(const Database& db, std::string_view predicate,
+                        std::vector<Term> args) {
+  DEDDB_ASSIGN_OR_RETURN(SymbolId pred, db.FindPredicate(predicate));
+  DEDDB_ASSIGN_OR_RETURN(PredicateInfo info, db.predicates().Get(pred));
+  if (info.arity != args.size()) {
+    return InvalidArgumentError(
+        StrCat("predicate '", predicate, "' has arity ", info.arity, ", got ",
+               args.size(), " arguments"));
+  }
+  return Atom(pred, std::move(args));
+}
+
 Session::Session(std::shared_ptr<const SessionState> state,
-                 std::shared_ptr<SessionRegistry> registry,
                  UpwardOptions upward, DownwardOptions downward)
     : state_(std::move(state)),
-      registry_(std::move(registry)),
       upward_options_(upward),
       downward_options_(downward),
       view_(state_->db.get(), upward.eval) {
-  registry_->active.fetch_add(1, std::memory_order_relaxed);
+  state_->registry->active.fetch_add(1, std::memory_order_relaxed);
 }
 
 Session::~Session() {
   // No metrics here (determinism: destructors run at arbitrary times on
-  // arbitrary threads); BeginSession/ReclaimSessionEpochs read the count.
-  registry_->active.fetch_sub(1, std::memory_order_relaxed);
+  // arbitrary threads); BeginSession reads the count.
+  state_->registry->active.fetch_sub(1, std::memory_order_relaxed);
 }
 
 uint64_t Session::version() const { return state_->version; }
@@ -35,15 +55,7 @@ Term Session::Variable(std::string_view name) const {
 
 Result<Atom> Session::MakeAtom(std::string_view predicate,
                                std::vector<Term> args) const {
-  const Database& db = *state_->db;
-  DEDDB_ASSIGN_OR_RETURN(SymbolId pred, db.FindPredicate(predicate));
-  DEDDB_ASSIGN_OR_RETURN(PredicateInfo info, db.predicates().Get(pred));
-  if (info.arity != args.size()) {
-    return InvalidArgumentError(
-        StrCat("predicate '", predicate, "' has arity ", info.arity, ", got ",
-               args.size(), " arguments"));
-  }
-  return Atom(pred, std::move(args));
+  return MakeAtomIn(*state_->db, predicate, std::move(args));
 }
 
 Result<Atom> Session::GroundAtom(
@@ -53,27 +65,6 @@ Result<Atom> Session::GroundAtom(
   args.reserve(constants.size());
   for (std::string_view c : constants) args.push_back(Constant(c));
   return MakeAtom(predicate, std::move(args));
-}
-
-Result<Transaction> Session::MakeTransaction(
-    std::vector<std::pair<SessionOp, Atom>> events) const {
-  const Database& db = *state_->db;
-  Transaction txn;
-  for (const auto& [op, atom] : events) {
-    DEDDB_ASSIGN_OR_RETURN(PredicateInfo info,
-                           db.predicates().Get(atom.predicate()));
-    if (info.kind != PredicateKind::kBase) {
-      return InvalidArgumentError(
-          StrCat("transactions consist of base fact updates; '",
-                 atom.ToString(db.symbols()), "' is derived"));
-    }
-    if (op == SessionOp::kInsert) {
-      DEDDB_RETURN_IF_ERROR(txn.AddInsert(atom));
-    } else {
-      DEDDB_RETURN_IF_ERROR(txn.AddDelete(atom));
-    }
-  }
-  return txn;
 }
 
 Result<bool> Session::Holds(const Atom& ground_atom) const {
@@ -97,13 +88,13 @@ Result<bool> Session::IsConsistent() const {
 }
 
 Result<const CompiledEvents*> Session::Compiled() const {
-  if (!state_->compiled.has_value()) {
+  if (state_->compiled == nullptr) {
     if (state_->compile_status.ok()) {
       return InternalError("session snapshot has no event compilation");
     }
     return state_->compile_status;
   }
-  return &*state_->compiled;
+  return state_->compiled.get();
 }
 
 const ActiveDomain& Session::Domain() const {

@@ -26,39 +26,48 @@ namespace deddb {
 
 class DeductiveDatabase;
 
-/// Operation tag for Session::MakeTransaction (mirrors
-/// DeductiveDatabase::Op, which cannot be named here without a cyclic
-/// include).
-enum class SessionOp { kInsert, kDelete };
+/// Session-count bookkeeping shared by a DeductiveDatabase and the snapshot
+/// states it builds, through which its Sessions reach it (the facade must
+/// outlive its sessions, but sessions on other threads end at arbitrary
+/// times, hence the atomics).
+struct SessionRegistry {
+  std::atomic<uint64_t> active{0};         // live Sessions
+  std::atomic<uint64_t> live_versions{0};  // live SessionStates
+};
 
 /// The immutable state a Session pins: one versioned clone of the database
 /// (schema, rules, EDB, materialized store — copy-on-write, so cheap), the
-/// event compilation over that clone, and the active-domain extras as of the
-/// snapshot. Shared between every Session begun at the same version and the
-/// owner's snapshot cache; reclaimed when the last one lets go
-/// (DeductiveDatabase::ReclaimSessionEpochs observes the release).
+/// event compilation over that clone's rules, and the active-domain extras
+/// as of the snapshot. Shared between every Session begun at the same
+/// version and the owner's snapshot cache; freed when the last one lets go,
+/// which is when it leaves the registry's live_versions count.
 ///
 /// Everything here is written once, before publication, except the
 /// lazily-built active domain, which is guarded by its once-flag (its
 /// construction only reads the pinned clone).
 struct SessionState {
+  explicit SessionState(std::shared_ptr<SessionRegistry> owner);
+  ~SessionState();
+
   uint64_t version = 0;
   std::unique_ptr<Database> db;  // never mutated after publication
-  std::optional<CompiledEvents> compiled;
+  // The head's compilation when it had one (shared, never copied), else one
+  // compiled on `db` at snapshot time.
+  std::shared_ptr<const CompiledEvents> compiled;
   Status compile_status;  // why `compiled` is absent (e.g. recursive rules)
   std::vector<SymbolId> extra_domain_constants;
 
   mutable std::once_flag domain_once;
   mutable std::optional<ActiveDomain> domain;
+
+  const std::shared_ptr<SessionRegistry> registry;
 };
 
-/// Session-count bookkeeping shared by a DeductiveDatabase and all the
-/// Sessions it hands out (sessions may outlive none of it — the facade must
-/// outlive its sessions, but sessions on other threads end at arbitrary
-/// times, hence the atomic).
-struct SessionRegistry {
-  std::atomic<uint64_t> active{0};
-};
+/// The atom over `predicate` with the given terms; the predicate must be
+/// declared in `db` with matching arity. (The facade's and the session's
+/// MakeAtom.)
+Result<Atom> MakeAtomIn(const Database& db, std::string_view predicate,
+                        std::vector<Term> args);
 
 /// A snapshot-isolated read handle obtained from
 /// DeductiveDatabase::BeginSession() (DESIGN.md §9).
@@ -87,8 +96,8 @@ class Session {
   /// The pinned point-in-time database (schema, rules, facts, views).
   const Database& database() const;
 
-  // ---- Term/atom/transaction building (same helpers as the facade; the
-  // symbol table is shared and thread-safe, so ids agree across versions) --
+  // ---- Term/atom building (same helpers as the facade; the symbol table is
+  // shared and thread-safe, so ids agree across versions) -------------------
 
   Term Constant(std::string_view name) const;
   Term Variable(std::string_view name) const;
@@ -96,8 +105,6 @@ class Session {
                         std::vector<Term> args) const;
   Result<Atom> GroundAtom(std::string_view predicate,
                           std::vector<std::string_view> constants) const;
-  Result<Transaction> MakeTransaction(
-      std::vector<std::pair<SessionOp, Atom>> events) const;
 
   // ---- Reads against the pinned state ------------------------------------
 
@@ -130,6 +137,10 @@ class Session {
       const UpdateRequest& request) const;
   Result<bool> CheckSatisfiability() const;
 
+  /// The pinned compilation, or the error recorded at snapshot time. Every
+  /// session whose version shares the head's rule set gets the same object.
+  Result<const CompiledEvents*> Compiled() const;
+
   /// Per-session evaluation options (budgets, thread count). Start as the
   /// owner's options with observability and resource guard stripped — a
   /// session runs on its own thread and must not write the owner's sinks.
@@ -150,18 +161,14 @@ class Session {
   friend class DeductiveDatabase;
 
   Session(std::shared_ptr<const SessionState> state,
-          std::shared_ptr<SessionRegistry> registry, UpwardOptions upward,
-          DownwardOptions downward);
+          UpwardOptions upward, DownwardOptions downward);
 
-  /// The pinned compilation, or the error recorded at snapshot time.
-  Result<const CompiledEvents*> Compiled() const;
   /// The pinned active domain (built on first use; construction is
   /// read-only and once-guarded, so concurrent sessions sharing the state
   /// are safe).
   const ActiveDomain& Domain() const;
 
   std::shared_ptr<const SessionState> state_;
-  std::shared_ptr<SessionRegistry> registry_;
   UpwardOptions upward_options_;
   DownwardOptions downward_options_;
   // Query engine over the pinned state (internally serialized; lazy).

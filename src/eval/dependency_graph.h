@@ -15,6 +15,7 @@ namespace deddb {
 /// extensional predicates are leaves and are not tracked.
 class DependencyGraph {
  public:
+  DependencyGraph() = default;  // the graph of the empty program
   explicit DependencyGraph(const Program& program);
 
   /// Predicates defined by rules, in first-definition order.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "eval/dependency_graph.h"
 #include "events/event_rules.h"
 #include "events/transition.h"
 #include "obs/metrics.h"
@@ -42,9 +41,10 @@ Result<CompiledEvents> EventCompiler::Compile() {
   SymbolTable& symbols = db_->symbols();
 
   // Hierarchy check + derived evaluation order.
-  DependencyGraph graph(db_->program());
   CompiledEvents out;
   out.simplified = options_.simplify;
+  out.dependencies = DependencyGraph(db_->program());
+  const DependencyGraph& graph = out.dependencies;
   for (const std::vector<SymbolId>& scc : graph.SccsBottomUp()) {
     if (scc.size() > 1) {
       return InvalidArgumentError(

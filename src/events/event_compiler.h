@@ -2,6 +2,7 @@
 #define DEDDB_EVENTS_EVENT_COMPILER_H_
 
 #include "datalog/program.h"
+#include "eval/dependency_graph.h"
 #include "obs/obs.h"
 #include "storage/database.h"
 #include "util/status.h"
@@ -29,7 +30,9 @@ struct EventCompilerOptions {
 };
 
 /// The compiled event machinery of a deductive database (paper §3), split
-/// into the rule groups the interpreters consume.
+/// into the rule groups the interpreters consume. It depends on the rules
+/// and the schema alone, so one immutable compilation serves every problem,
+/// every commit and every session until either changes.
 struct CompiledEvents {
   /// `new$P` transition rules (§3.2), one rule per disjunct.
   Program transition;
@@ -49,6 +52,9 @@ struct CompiledEvents {
   /// Derived predicates (kOld symbols) in bottom-up dependency order; the
   /// upward interpreter computes events in this order.
   std::vector<SymbolId> derived_order;
+  /// The original program's dependency graph (built for the hierarchy
+  /// check); the upward interpreter takes each pass's goal closure from it.
+  DependencyGraph dependencies;
 };
 
 /// Compiles the transition and event rules for every derived predicate of a

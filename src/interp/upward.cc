@@ -3,13 +3,26 @@
 #include <unordered_set>
 
 #include "eval/bottom_up.h"
-#include "eval/dependency_graph.h"
 #include "eval/join_plan.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/strings.h"
 
 namespace deddb {
+
+namespace {
+
+// Events of P depend on the events of the predicates P's rules mention, so
+// a pass needs the goals' dependency closure, read off the compilation.
+std::unordered_set<SymbolId> Needed(const CompiledEvents& compiled,
+                                    const std::vector<SymbolId>& goals) {
+  std::unordered_set<SymbolId> needed =
+      compiled.dependencies.ReachableFrom(goals);
+  needed.insert(goals.begin(), goals.end());
+  return needed;
+}
+
+}  // namespace
 
 UpwardInterpreter::UpwardInterpreter(const Database* db,
                                      const CompiledEvents* compiled,
@@ -109,12 +122,7 @@ Result<DerivedEvents> UpwardInterpreter::RunEventRules(
   const PredicateTable& predicates = db_->predicates();
   const SymbolTable& symbols = db_->symbols();
 
-  // Events of P depend on the events of the predicates P's rules mention, so
-  // the needed set is the dependency closure of the goals.
-  DependencyGraph graph(db_->program());
-  std::unordered_set<SymbolId> needed = graph.ReachableFrom(wanted);
-  for (SymbolId goal : wanted) needed.insert(goal);
-
+  const std::unordered_set<SymbolId> needed = Needed(*compiled_, wanted);
   OldStateView old_state(db_, options_.eval);
   TransactionProvider txn_provider(&transaction, &predicates);
   DerivedEvents events;
@@ -246,9 +254,7 @@ Result<DerivedEvents> UpwardInterpreter::RunRecompute(
                              options_.eval);
   DEDDB_ASSIGN_OR_RETURN(FactStore new_idb, new_eval.EvaluateFor(wanted));
 
-  DependencyGraph graph(db_->program());
-  std::unordered_set<SymbolId> needed = graph.ReachableFrom(wanted);
-  for (SymbolId goal : wanted) needed.insert(goal);
+  const std::unordered_set<SymbolId> needed = Needed(*compiled_, wanted);
 
   DerivedEvents events;
   new_idb.ForEach([&](SymbolId pred, const Tuple& t) {

@@ -151,8 +151,9 @@ Result<RawWalContents> ReadWalRaw(const std::string& path, uint64_t from_seq);
 /// AppendDurable frames a payload and returns once the record is fsynced.
 /// Under concurrency, one caller becomes the flush leader and writes+syncs
 /// every pending record in a single write/fsync pair; the rest wait — the
-/// group-commit path that batches fsyncs (bench_wal_throughput measures the
-/// difference; `group_commit=false` degrades to one fsync per record).
+/// group-commit path that batches fsyncs (perfbench reports
+/// `persist.fsyncs_per_commit`; `group_commit=false` degrades to one fsync
+/// per record).
 ///
 /// Failure atomicity: if a write/fsync fails (really, or via FaultInjector's
 /// kWalAppend/kWalFsync points), no record of that batch is acknowledged and

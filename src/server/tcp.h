@@ -11,8 +11,8 @@
 namespace deddb::server {
 
 /// POSIX TCP realizations of the transport interfaces — what the
-/// `deddb_server` binary listens on and `bench_server_qps --transport=tcp`
-/// drives. The in-process test suites use the loopback transport instead,
+/// `deddb_server` and `deddb_replica` binaries listen on. The in-process
+/// test suites and perfbench use the loopback transport instead,
 /// so these stay thin wrappers over the sockets API with no protocol logic
 /// of their own.
 

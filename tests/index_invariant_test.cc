@@ -155,7 +155,6 @@ TEST_P(IndexInvariantTest, RandomApplyRollbackSessionSequences) {
           sessions.push_back(std::move(*session));
         } else if (!sessions.empty()) {
           sessions.erase(sessions.begin() + driver.rng()() % sessions.size());
-          db.ReclaimSessionEpochs();
         }
         break;
     }
@@ -253,7 +252,6 @@ TEST_P(IndexInvariantTest, ConcurrentReadersSeeValidIndexes) {
   stop.store(true);
   for (std::thread& reader : readers) reader.join();
   EXPECT_EQ(reader_failures.load(), 0u);
-  db.ReclaimSessionEpochs();
   ExpectIndexesValid(db, "after readers joined");
 }
 

@@ -249,9 +249,8 @@ void RunSeed(uint64_t seed) {
     EXPECT_FALSE(logs[r].images.empty());
   }
   ASSERT_EQ(db->active_sessions(), 0u);
-  db->ReclaimSessionEpochs();
   // Only the cached current snapshot (pinned by the facade, not a session)
-  // may remain registered.
+  // may remain live.
   EXPECT_LE(db->live_session_versions(), 1u);
 
   if (persistent) {

@@ -1,12 +1,12 @@
 // Targeted snapshot-isolation scenarios for the session layer (DESIGN.md
 // §9), complementing the randomized suite in session_history_test.cc:
 // snapshots pinned across Checkpoint(), sessions outliving rule updates
-// (keeping their compiled event machinery), reads across a Process commit
-// that fails before it mutates anything, the sticky commit-health
-// failure when a commit (Apply or Process) is applied in memory but its log
-// record never becomes durable, and
-// epoch-based reclamation of retired snapshot versions observed through the
-// session.* metrics.
+// (keeping their compiled event machinery), one compilation shared by every
+// snapshot of a rule set, reads across a Process commit that fails before it
+// mutates anything, the sticky commit-health failure when a commit (Apply or
+// Process) is applied in memory but its log record never becomes durable,
+// and retired snapshot versions leaving the live count as their last holder
+// lets go.
 
 #include <gtest/gtest.h>
 
@@ -175,6 +175,68 @@ TEST_F(SessionIsolationTest, SessionOutlivesRuleUpdateWithItsCompiledRules) {
   EXPECT_FALSE(new_events->ContainsInsert(p, Tuple{a}));
 }
 
+// The event rules depend on the rules alone: snapshots pinned at successive
+// fact commits share the head's one compilation. A rule update retires it;
+// a session pinned before keeps answering with it, and the next session
+// gets another.
+TEST_F(SessionIsolationTest, SessionsShareOneCompilationPerRuleSet) {
+  DeductiveDatabase db;
+  ASSERT_TRUE(db.DeclareBase("Q", 1).ok());
+  ASSERT_TRUE(db.DeclareBase("R", 1).ok());
+  ASSERT_TRUE(db.DeclareView("P", 1).ok());
+  Term x = db.Variable("x");
+  Rule from_q(db.MakeAtom("P", {x}).value(),
+              {Literal::Positive(db.MakeAtom("Q", {x}).value())});
+  Rule from_r(db.MakeAtom("P", {x}).value(),
+              {Literal::Positive(db.MakeAtom("R", {x}).value())});
+  ASSERT_TRUE(db.AddRule(from_q).ok());
+  ASSERT_TRUE(db.AddRule(from_r).ok());
+  Result<const CompiledEvents*> head = db.Compiled();
+  ASSERT_TRUE(head.ok()) << head.status();
+
+  std::vector<std::unique_ptr<Session>> pinned;
+  for (std::string_view c : {"a", "b", "c"}) {
+    ASSERT_TRUE(db.Apply(InsertOf(&db, "Q", c)).ok());
+    auto session = db.BeginSession();
+    ASSERT_TRUE(session.ok());
+    pinned.push_back(std::move(*session));
+  }
+  for (size_t i = 0; i < pinned.size(); ++i) {
+    if (i > 0) EXPECT_LT(pinned[i - 1]->version(), pinned[i]->version());
+    Result<const CompiledEvents*> compiled = pinned[i]->Compiled();
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    EXPECT_EQ(*compiled, *head) << "session " << i;
+  }
+
+  problems::RuleUpdate update;
+  update.remove.push_back(from_r);
+  ASSERT_TRUE(db.ApplyRuleUpdate(update).ok());
+  auto after = db.BeginSession();
+  ASSERT_TRUE(after.ok());
+  Result<const CompiledEvents*> renewed = (*after)->Compiled();
+  ASSERT_TRUE(renewed.ok()) << renewed.status();
+  EXPECT_NE(*renewed, *head);
+  EXPECT_EQ(*pinned.back()->Compiled(), *head);
+
+  Transaction insert_r = InsertOf(&db, "R", "z");
+  SymbolId p = db.database().FindPredicate("P").value();
+  Tuple z{db.symbols().Intern("z")};
+  auto old_events = pinned.back()->InducedEvents(insert_r);
+  ASSERT_TRUE(old_events.ok()) << old_events.status();
+  EXPECT_TRUE(old_events->ContainsInsert(p, z));
+  auto new_events = (*after)->InducedEvents(insert_r);
+  ASSERT_TRUE(new_events.ok()) << new_events.status();
+  EXPECT_FALSE(new_events->ContainsInsert(p, z));
+
+  // Once the head compiles the new rule set, later snapshots share that.
+  Result<const CompiledEvents*> recompiled = db.Compiled();
+  ASSERT_TRUE(recompiled.ok()) << recompiled.status();
+  ASSERT_TRUE(db.Apply(InsertOf(&db, "Q", "d")).ok());
+  auto later = db.BeginSession();
+  ASSERT_TRUE(later.ok());
+  EXPECT_EQ(*(*later)->Compiled(), *recompiled);
+}
+
 // A Process commit that fails mid-pipeline no longer needs an
 // ApplyAtomically rollback: its only failure point left (the upward pass)
 // comes before the first mutation. Readers must still see nothing of it.
@@ -341,25 +403,27 @@ TEST_F(SessionIsolationTest, EpochReclamationFreesRetiredVersions) {
   ASSERT_TRUE(s2.ok());
   ASSERT_NE((*s1)->version(), (*s2)->version());
   EXPECT_EQ(db.live_session_versions(), 2u);
+  EXPECT_EQ(metrics.gauge("session.live_versions"), 2);
 
-  // Dropping the old session retires its version; reclamation observes the
-  // release and the gauges follow.
+  // Dropping the old version's last session frees that version at once.
   s1->reset();
-  EXPECT_EQ(db.ReclaimSessionEpochs(), 1u);
-  EXPECT_EQ(metrics.counter("session.versions_reclaimed"), 1u);
-  EXPECT_EQ(metrics.gauge("session.live_versions"), 1);
   EXPECT_EQ(db.live_session_versions(), 1u);
 
-  // The current version stays registered even with no session on it — the
-  // facade's snapshot cache pins it so the next BeginSession is free. A
-  // mutation retires the cache, after which it reclaims too.
+  // The current version stays live with no session on it — the facade's
+  // snapshot cache holds it so the next BeginSession is free. A mutation
+  // retires the cache, and with it the version.
   s2->reset();
-  EXPECT_EQ(db.ReclaimSessionEpochs(), 0u);
+  EXPECT_EQ(db.live_session_versions(), 1u);
   ASSERT_TRUE(db.Apply(InsertOf(&db, "Q", "b")).ok());
-  EXPECT_EQ(db.ReclaimSessionEpochs(), 1u);
   EXPECT_EQ(db.live_session_versions(), 0u);
-  EXPECT_EQ(metrics.counter("session.versions_reclaimed"), 2u);
-  EXPECT_EQ(metrics.gauge("session.live_versions"), 0);
+
+  // No destructor writes a metric: the gauge catches up at the next
+  // BeginSession.
+  EXPECT_EQ(metrics.gauge("session.live_versions"), 2);
+  auto s3 = db.BeginSession();
+  ASSERT_TRUE(s3.ok());
+  EXPECT_EQ(metrics.gauge("session.live_versions"), 1);
+  EXPECT_EQ(db.live_session_versions(), 1u);
 }
 
 TEST_F(SessionIsolationTest, CompileFailureStillAllowsSnapshotQueries) {
